@@ -8,14 +8,14 @@ the modular identities and quantum dimensions numerically.
 
 __version__ = "1.0.0"
 
-from .scalars import Rational, Scalar, ZETA, parse_scalar
+from .scalars import Scalar, ZETA, parse_scalar
 from .fock import (ALPHA, BETA, DEFAULT_TRUNCATION, FockState, change_basis,
-                   enumerate_basis, graded_dim, parse_state)
+                   enumerate_basis, parse_state)
 from .vertex import (check_borcherds, check_skew_symmetry, conformal_vector,
                      is_primary, nth_product, translate, translate_power,
                      virasoro_mode)
 from .symmetry import (GROUPS, GeneratorId, Permutation, act, build_generator,
-                       gen, is_invariant, reynolds, symmetric_group,
+                       gen, is_invariant, reynolds,
                        verify_generator_translation)
 from .classical import CPoly, cpoly_polarization, cpoly_relation, q0
 from .structure import (DecompositionReport, SpanReport, S3_GENERATOR_IDS,

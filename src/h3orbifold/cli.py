@@ -16,16 +16,35 @@ from fractions import Fraction
 
 from . import __version__
 from .fock import DEFAULT_TRUNCATION, enumerate_basis, FockState, parse_state
-from .qseries import (module_character, orbifold_character,
+from .qseries import (burnside_trace, module_character, orbifold_character,
                       w_algebra_free_character)
 from .modular import check_gauss_identity, qdim_estimate, DEFAULT_TOL
+from .structure import MAX_SPAN_WEIGHT
 
 SCHEMA = "h3orbifold-report/1"
 DEFAULT_SEED = "H3S3"
 
 
-def _fail(parser, message):
-    parser.error(message)  # exits with code 2
+def _int_range(lo, hi=None):
+    """argparse type: an integer in lo..hi (no upper end if hi is None)."""
+    def parse(text):
+        value = int(text)
+        if hi is None and value < lo:
+            raise argparse.ArgumentTypeError(f"{value} is below {lo}")
+        if hi is not None and not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is outside {lo}..{hi}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
+def _fractions(text):
+    """Comma-separated rationals; ValueError on malformed or zero-denominator
+    entries."""
+    try:
+        return tuple(Fraction(w) for w in text.split(",")) if text else ()
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def _emit(payload, fmt, text_lines):
@@ -44,7 +63,7 @@ def _suite_relations(suite):
     results = []
     for name, params in default_instances():
         spec = CATALOG[name]
-        if suite not in ("all", spec.suite):
+        if spec.suite != suite:
             continue
         residual = verify_relation(name, params)
         results.append({
@@ -109,7 +128,7 @@ def _suite_axioms(rng):
     return results
 
 
-def _suite_primaries():
+def _suite_primaries(rng):
     from .primaries import verify_primaries
     results = []
     for family in ("S3", "Z3", "H2"):
@@ -124,17 +143,23 @@ def _suite_primaries():
     return results
 
 
+#: the verification suites in the order ``--suite all`` runs them; each takes
+#: the shared random generator, so ``classical`` draws before ``axioms``
+SUITES = {
+    "s3-relations": lambda rng: _suite_relations("s3-relations"),
+    "z3-relations": lambda rng: _suite_relations("z3-relations"),
+    "classical": _suite_classical,
+    "axioms": _suite_axioms,
+    "primaries": _suite_primaries,
+}
+
+
 def cmd_verify(args, parser):
     rng = random.Random(args.seed)
     results = []
-    if args.suite in ("s3-relations", "z3-relations", "all"):
-        results += _suite_relations(args.suite if args.suite != "all" else "all")
-    if args.suite in ("classical", "all"):
-        results += _suite_classical(rng)
-    if args.suite in ("axioms", "all"):
-        results += _suite_axioms(rng)
-    if args.suite in ("primaries", "all"):
-        results += _suite_primaries()
+    for name, suite in SUITES.items():
+        if args.suite in (name, "all"):
+            results += suite(rng)
     results.sort(key=lambda r: (r["id"], r["params"]))
     all_pass = all(r["pass"] for r in results)
     payload = {"schema": SCHEMA, "command": "verify", "suite": args.suite,
@@ -168,9 +193,9 @@ def cmd_span(args, parser):
         try:
             dropped = _parse_generator(args.drop)
         except ValueError as exc:
-            _fail(parser, str(exc))
+            parser.error(str(exc))
         if dropped not in gens:
-            _fail(parser, f"{args.drop} is not in the {args.group} generating set")
+            parser.error(f"{args.drop} is not in the {args.group} generating set")
         gens.remove(dropped)
     report = span_dims(gens, args.max_weight, args.group.upper())
     payload = {
@@ -202,13 +227,14 @@ def cmd_span(args, parser):
 
 
 def cmd_dims(args, parser):
-    from .fock import graded_dim
-    chars = {g: orbifold_character(g, args.max_weight) for g in ("S3", "Z3")}
+    chars = {"fock": burnside_trace((1, 1, 1), args.max_weight),
+             "s3": orbifold_character("S3", args.max_weight),
+             "z3": orbifold_character("Z3", args.max_weight)}
     rows = []
     for w in range(args.max_weight + 1):
-        row = {"weight": w, "fock": graded_dim(3, w)}
-        for group, ch in chars.items():
-            row[group.lower()] = int(ch.coefficient(ch.offset + w))
+        row = {"weight": w}
+        for column, ch in chars.items():
+            row[column] = int(ch.coefficient(ch.offset + w))
         rows.append(row)
     payload = {"schema": SCHEMA, "command": "dims",
                "max_weight": args.max_weight, "rows": rows}
@@ -230,7 +256,10 @@ def _series_payload(series, count=None):
 
 
 def cmd_char(args, parser):
-    weights = tuple(Fraction(w) for w in args.weights.split(",")) if args.weights else ()
+    try:
+        weights = _fractions(args.weights)
+    except ValueError as exc:
+        parser.error(f"bad --weights: {exc}")
     order = args.order
     if args.which == "s3":
         series = orbifold_character("S3", order)
@@ -241,17 +270,20 @@ def cmd_char(args, parser):
     elif args.which in ("fock", "theta", "sigma"):
         if not weights:
             weights = {"fock": (0, 0, 0), "theta": (0, 0), "sigma": (0,)}[args.which]
-        series = module_character(args.which, order, weights=weights)
+        try:
+            series = module_character(args.which, order, weights=weights)
+        except ValueError as exc:
+            parser.error(str(exc))
     elif args.which == "w-free":
-        if not weights:
-            _fail(parser, "w-free requires --weights")
+        if not weights or any(w < 1 or w.denominator != 1 for w in weights):
+            parser.error("w-free requires --weights, positive integers")
         series = w_algebra_free_character([int(w) for w in weights], order)
     else:
-        _fail(parser, f"unknown character {args.which!r}")
+        parser.error(f"unknown character {args.which!r}")
 
     checks = {}
     if args.check_burnside:
-        from .qseries import fock_trace_series, burnside_trace
+        from .qseries import fock_trace_series
         from .symmetry import GROUPS
         ok = True
         for sigma in GROUPS["S3"]:
@@ -277,20 +309,15 @@ def cmd_char(args, parser):
 # -- qdim / modular -------------------------------------------------------------
 
 
-def _parse_module(text):
-    kind, _, rest = text.partition(":")
-    weights = tuple(Fraction(w) for w in rest.split(",")) if rest else ()
-    return kind, weights
-
-
 def cmd_qdim(args, parser):
-    kind, weights = _parse_module(args.module)
-    t_list = [float(Fraction(t)) for t in args.t_list.split(",")]
+    kind, _, rest = args.module.partition(":")
     expected = {"fock": 6.0, "orb": 1.0, "sgn": 1.0, "st": 2.0}
     try:
+        weights = _fractions(rest)
+        t_list = [float(t) for t in _fractions(args.t_list)]
         report = qdim_estimate(kind, t_list, weights=weights)
     except ValueError as exc:
-        _fail(parser, str(exc))
+        parser.error(str(exc))
     payload = {"schema": SCHEMA, "command": "qdim", **report.to_json()}
     lines = [f"module {report.module}: {report.classification}"]
     for t, r in zip(report.t_values, report.ratios):
@@ -328,14 +355,14 @@ def cmd_modular(args, parser):
     try:
         tau = _parse_tau(args.tau)
     except (ValueError, ZeroDivisionError):
-        _fail(parser, f"cannot parse tau {args.tau!r}")
+        parser.error(f"cannot parse tau {args.tau!r}")
     reports = []
     for line in (1, 2, 3):
         try:
             reports.append(check_gauss_identity(line, tau, tol=args.tol,
                                                 quadrature=args.quadrature))
         except ValueError as exc:
-            _fail(parser, str(exc))
+            parser.error(str(exc))
     all_pass = all(r.passed for r in reports)
     payload = {"schema": SCHEMA, "command": "modular",
                "reports": [r.to_json() for r in reports], "pass": all_pass}
@@ -353,9 +380,9 @@ def cmd_product(args, parser):
     try:
         u = parse_state(args.u)
         v = parse_state(args.v)
-        result = nth_product(u, args.n, v)
+        result = nth_product(u, args.n, v, weight_cap=MAX_SPAN_WEIGHT)
     except ValueError as exc:
-        _fail(parser, str(exc))
+        parser.error(str(exc))
     payload = {"schema": SCHEMA, "command": "product",
                "u": str(u), "n": args.n, "v": str(v), "result": str(result)}
     _emit(payload, args.format, [str(result)])
@@ -383,22 +410,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all",
-                   choices=["s3-relations", "z3-relations", "classical",
-                            "axioms", "primaries", "all"])
+                   choices=[*SUITES, "all"])
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--seed", default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("span", help="graded dimensions of a strong span")
     p.add_argument("--group", default="s3", choices=["s3", "z3"])
-    p.add_argument("--max-weight", type=int, default=6)
+    p.add_argument("--max-weight", type=_int_range(0, MAX_SPAN_WEIGHT), default=6)
     p.add_argument("--drop", default=None,
                    help="generator to remove, e.g. omega3(0,1,2)")
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=cmd_span)
 
     p = sub.add_parser("dims", help="graded dimension table")
-    p.add_argument("--max-weight", type=int, default=DEFAULT_TRUNCATION)
+    p.add_argument("--max-weight", type=_int_range(0), default=DEFAULT_TRUNCATION)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=cmd_dims)
 
@@ -406,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=["s3", "z3", "sgn", "st", "vac", "fock", "theta",
                             "sigma", "w-free"])
-    p.add_argument("--order", type=int, default=DEFAULT_TRUNCATION)
+    p.add_argument("--order", type=_int_range(0), default=DEFAULT_TRUNCATION)
     p.add_argument("--weights", default="")
     p.add_argument("--check", dest="check_burnside", action="store_true",
                    help="cross-validate against direct Fock-space traces")

@@ -16,10 +16,9 @@ descending then field ascending; the empty tuple is the vacuum.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Tuple, Union
 
-from .scalars import Scalar, parse_scalar
+from .scalars import ZETA, Scalar, parse_scalar
 
 Monomial = Tuple[Tuple[int, int], ...]
 Coeff = Union[Fraction, Scalar]
@@ -168,13 +167,6 @@ class FockState:
             return 0
         return max(monomial_weight(m) for m in self.terms)
 
-    def graded_parts(self) -> dict:
-        parts: dict = {}
-        for mon, c in self.terms.items():
-            w = monomial_weight(mon)
-            parts.setdefault(w, FockState(self.rank, self.basis))._add_term(mon, c)
-        return parts
-
     # -- mode actions --------------------------------------------------------
 
     def apply_creation(self, field: int, level: int) -> "FockState":
@@ -226,7 +218,8 @@ class FockState:
             elif set(cs) & set("+- ") and not cs.startswith("-"):
                 pieces.append(f"({cs})*{body}" if mon else f"({cs})")
             elif cs.startswith("-") and (set(cs[1:]) & set("+- ")):
-                pieces.append(f"-({cs[1:]})*{body}" if mon else f"-({cs[1:]})")
+                neg = str(-c)
+                pieces.append(f"-({neg})*{body}" if mon else f"-({neg})")
             else:
                 pieces.append(f"{cs}*{body}" if mon else cs)
         text = " + ".join(pieces)
@@ -261,23 +254,6 @@ def _enumerate(rank: int, remaining: int, max_level: int,
         for field in range(first, rank + 1):
             for rest in _enumerate(rank, remaining - level, level, field):
                 yield ((level, field),) + rest
-
-
-def graded_dim(rank: int, weight: int) -> int:
-    """dim of the weight-graded piece: q^weight coefficient of 1/(q;q)^rank."""
-    n_max = max(weight, 1)
-    return _colored_partitions(rank, ((n_max + 63) // 64) * 64)[weight]
-
-
-@lru_cache(maxsize=None)
-def _colored_partitions(rank: int, n_max: int) -> tuple:
-    coeffs = [1] + [0] * n_max
-    for _ in range(rank):
-        # multiply by 1 / prod_k (1 - q^k)
-        for k in range(1, n_max + 1):
-            for n in range(k, n_max + 1):
-                coeffs[n] += coeffs[n - k]
-    return tuple(coeffs)
 
 
 # -- basis change (rank 3) ---------------------------------------------------
@@ -347,7 +323,9 @@ def parse_state(text: str, rank: int = 3, basis: str | None = None) -> FockState
     """Parse states like "(3/2)*a1(-2)a1(-1) + (1+z)*b2(-1)b3(-1)".
 
     The basis is inferred from the mode tags; pure-scalar text carries no tag,
-    so an explicit basis may be supplied for that case.
+    so an explicit basis may be supplied for that case.  A coefficient is a
+    parenthesized scalar or a rational, either optionally followed by "z"
+    (as ``str`` prints "2*z*b1(-1)").  Malformed text raises ValueError.
     """
     s = text.replace(" ", "")
     if not s:
@@ -386,8 +364,11 @@ def parse_state(text: str, rank: int = 3, basis: str | None = None) -> FockState
             j = 0
             while j < len(term) and (term[j].isdigit() or term[j] == "/"):
                 j += 1
-            coeff = Fraction(term[:j])
+            coeff = parse_scalar(term[:j])
             term = term[j:].lstrip("*")
+        if term.startswith("z"):
+            coeff = coeff * ZETA
+            term = term[1:].lstrip("*")
         if term == "1" or term == "":
             modes: list = []
             term = ""
@@ -402,11 +383,13 @@ def parse_state(text: str, rank: int = 3, basis: str | None = None) -> FockState
                 elif basis_seen != tag:
                     raise ValueError("mixed mode bases in one state")
                 j = 1
-                while term[j].isdigit():
+                while j < len(term) and term[j].isdigit():
                     j += 1
-                field = int(term[1:j])
-                if term[j] != "(":
+                if not term.startswith("(", j):
                     raise ValueError(f"expected '(' in {text!r}")
+                field = int(term[1:j])
+                if not 1 <= field <= rank:
+                    raise ValueError(f"field index {field} outside rank {rank}")
                 close = term.index(")", j)
                 level = int(term[j + 1:close])
                 if level >= 0:

@@ -54,9 +54,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
 
 class SolverBasis:
     """Echelon family that remembers coordinates in the inserted vectors."""
@@ -108,13 +105,6 @@ class SolverBasis:
                 else:
                     coords.pop(k, None)
         return coords
-
-
-def rank_of(vectors) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
 
 
 def det_bareiss(matrix) -> Fraction:

@@ -42,9 +42,6 @@ class FracSeries:
     def one(cls, order=DEFAULT_ORDER, D: int = 1) -> "FracSeries":
         return cls(D, 0, {0: Fraction(1)}, order)
 
-    def copy(self) -> "FracSeries":
-        return FracSeries(self.D, self.offset, dict(self.coeffs), self.order)
-
     def rebase(self, D: int) -> "FracSeries":
         """Move to a finer lattice (D must be a multiple of the current one)."""
         if D % self.D:

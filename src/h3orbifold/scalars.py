@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -159,7 +157,10 @@ ONE = Scalar(1, 0)
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse "a + b*z" style input; bare "z" is accepted for the root."""
+    """Parse "a + b*z" style input; bare "z" is accepted for the root.
+
+    Malformed text, a zero denominator included, raises ValueError.
+    """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar")
@@ -180,31 +181,15 @@ def parse_scalar(text: str) -> Scalar:
             continue
         neg = chunk.startswith("-")
         body = chunk.lstrip("+-")
-        if body.endswith("z"):
+        is_z = body.endswith("z")
+        if is_z:
             body = body[:-1].rstrip("*")
-            coef = _ONE if body == "" else Fraction(body)
+        try:
+            coef = _ONE if is_z and body == "" else Fraction(body)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
+        if is_z:
             b += -coef if neg else coef
         else:
-            coef = Fraction(body)
             a += -coef if neg else coef
     return Scalar(a, b)
-
-
-def scalar_add(x: Scalar, y: Scalar) -> Scalar:
-    return _coerce(x) + y
-
-
-def scalar_mul(x: Scalar, y: Scalar) -> Scalar:
-    return _coerce(x) * y
-
-
-def scalar_neg(x: Scalar) -> Scalar:
-    return -_coerce(x)
-
-
-def scalar_inv(x: Scalar) -> Scalar:
-    return _coerce(x).inverse()
-
-
-def scalar_conj(x: Scalar) -> Scalar:
-    return _coerce(x).conjugate()

@@ -17,6 +17,11 @@ from .vertex import nth_product, translate_power
 
 #: weight cap used by continuous-integration runs; deeper scans are offline
 DEFAULT_SPAN_CAP = 8
+#: largest weight span_dims (and ``h3orb span`` / ``product``) accepts
+MAX_SPAN_WEIGHT = DEFAULT_SPAN_CAP + 4
+#: even arguments sampled by det_A_even_polynomial: one more than its degree
+#: needs, so the last sample checks the interpolation
+_DET_A_SAMPLES = 14
 
 
 def _nested_product(states) -> FockState:
@@ -228,14 +233,14 @@ def det_A(a: int) -> Fraction:
     return det_bareiss(det_A_matrix(a))
 
 
-def det_A_even_polynomial(points: int = 14) -> list:
+def det_A_even_polynomial() -> list:
     """Coefficients (ascending) of the determinant as a polynomial over even
     arguments, interpolated from collision-free samples and stability-checked."""
-    samples = [(a, det_A(a)) for a in range(10, 10 + 2 * points, 2)]
-    poly = lagrange_interpolate(samples[:points - 1])
-    for a, v in samples[points - 1:]:
-        if poly_eval(poly, a) != v:
-            raise AssertionError("determinant interpolation did not stabilize")
+    samples = [(a, det_A(a)) for a in range(10, 10 + 2 * _DET_A_SAMPLES, 2)]
+    poly = lagrange_interpolate(samples[:-1])
+    a, v = samples[-1]
+    if poly_eval(poly, a) != v:
+        raise AssertionError("determinant interpolation did not stabilize")
     return poly
 
 
@@ -268,15 +273,15 @@ def _target_dims(group: str, max_weight: int) -> dict:
     return {w: int(ch.coefficient(ch.offset + w)) for w in range(max_weight + 1)}
 
 
-def span_dims(generators, max_weight: int, group: str = "S3",
-              check_invariance: bool = True) -> SpanReport:
+def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     """Graded dimensions of the strong span of the given generators.
 
     Closes the vacuum under all negative modes u_n (n <= -1) of the
-    generators, weight by weight, with exact rank bookkeeping.
+    generators, weight by weight, with exact rank bookkeeping.  Every
+    generator must be invariant under the group.
     """
-    if max_weight > DEFAULT_SPAN_CAP + 4:
-        raise ValueError(f"weight cap exceeded: {max_weight}")
+    if not 0 <= max_weight <= MAX_SPAN_WEIGHT:
+        raise ValueError(f"max weight {max_weight} outside 0..{MAX_SPAN_WEIGHT}")
     states = []
     names = []
     for g_ in generators:
@@ -288,10 +293,9 @@ def span_dims(generators, max_weight: int, group: str = "S3",
         else:
             raise TypeError(f"generator {g_!r} is neither id nor state")
         states.append(g_)
-    if check_invariance:
-        for name, s in zip(names, states):
-            if not is_invariant(group, s):
-                raise ValueError(f"generator {name} is not {group}-invariant")
+    for name, s in zip(names, states):
+        if not is_invariant(group, s):
+            raise ValueError(f"generator {name} is not {group}-invariant")
 
     basis = states[0].basis if states else "a"
     echelons = {w: Echelon() for w in range(max_weight + 1)}

@@ -72,10 +72,6 @@ class Permutation:
         return f"Permutation{self.images}"
 
 
-def symmetric_group(n: int) -> list:
-    return [Permutation(p) for p in _perms(range(1, n + 1))]
-
-
 #: supported group specs for averaging (rank 3 unless noted)
 GROUPS = {
     "S3": [Permutation(p) for p in _perms((1, 2, 3))],

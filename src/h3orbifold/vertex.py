@@ -154,10 +154,6 @@ def virasoro_mode(k: int, v: FockState) -> FockState:
     return nth_product(conformal_vector(v.rank, v.basis), k + 1, v)
 
 
-def central_charge(rank: int) -> int:
-    return rank
-
-
 def is_primary(v: FockState) -> bool:
     """True iff v is homogeneous and killed by L(1) and L(2).
 
@@ -169,14 +165,13 @@ def is_primary(v: FockState) -> bool:
     return virasoro_mode(1, v).is_zero() and virasoro_mode(2, v).is_zero()
 
 
-def check_skew_symmetry(u: FockState, v: FockState, n: int,
-                        jmax: int | None = None) -> FockState:
+def check_skew_symmetry(u: FockState, v: FockState, n: int) -> FockState:
     """Residual of u_n v = sum_j (-1)^(n+j+1) T^j(v_{n+j} u) / j!.
 
-    Returns the difference; a correct product makes it the zero state.
+    Returns the difference; a correct product makes it the zero state.  The
+    sum stops at j = wt(u) + wt(v) + 1, past which v_{n+j} u vanishes.
     """
-    if jmax is None:
-        jmax = u.max_weight() + v.max_weight() + 1
+    jmax = u.max_weight() + v.max_weight() + 1
     total = FockState(u.rank, u.basis)
     for j in range(0, jmax + 1):
         term = nth_product(v, n + j, u)

@@ -6,24 +6,21 @@ for the determinant cannot be reproduced from any canonical construction (see
 the test body and the relation catalog notes for the analysis).
 """
 
-import math
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
+from h3orbifold.cli import SUITES
 from h3orbifold.fock import FockState, enumerate_basis
 from h3orbifold.linalg import Echelon
 from h3orbifold.modular import check_gauss_identity, qdim_estimate
-from h3orbifold.primaries import verify_primaries
 from h3orbifold.qseries import (module_character, orbifold_character,
                                 w_algebra_free_character)
-from h3orbifold.relations import default_instances, verify_relation
-from h3orbifold.structure import (S3_GENERATOR_IDS, Z3_GENERATOR_IDS, det_A,
-                                  det_A_closed_form, span_dims)
+from h3orbifold.structure import (S3_GENERATOR_IDS, det_A, det_A_closed_form,
+                                  span_dims)
 from h3orbifold.symmetry import generator_weight, reynolds
-from h3orbifold.vertex import check_borcherds, check_skew_symmetry
 
 ACCEPTANCE_SEED = "H3S3"
 
@@ -33,28 +30,28 @@ def report(num, ok, text):
     assert ok, text
 
 
+def suites_pass(count, *names):
+    """Run the named ``h3orb verify`` suites, each with a fresh generator
+    seeded by ACCEPTANCE_SEED; True iff they give `count` results, all
+    passing."""
+    results = []
+    for name in names:
+        results += SUITES[name](random.Random(ACCEPTANCE_SEED))
+    return len(results) == count and all(r["pass"] for r in results)
+
+
 def test_criterion_01_relation_suite_exact():
     t0 = time.time()
-    bad = []
-    for name, params in default_instances():
-        if not verify_relation(name, params).is_zero():
-            bad.append((name, params))
+    ok = suites_pass(39, "s3-relations", "z3-relations")
     elapsed = time.time() - t0
-    report(1, not bad and elapsed < 60,
+    report(1, ok and elapsed < 60,
            f"every cataloged relation instance has zero residual "
-           f"({len(default_instances())} instances, {elapsed:.1f}s)")
+           f"(39 instances, {elapsed:.1f}s)")
 
 
 def test_criterion_02_classical_relations():
-    from h3orbifold.classical import cpoly_relation
     t0 = time.time()
-    rng = random.Random(ACCEPTANCE_SEED)
-    ok = True
-    for family, arity in (("D5C", 5), ("D6C1", 6), ("D6C2", 6)):
-        for _ in range(50):
-            idx = tuple(rng.randint(0, 3) for _ in range(arity))
-            if not cpoly_relation(family, idx).is_zero():
-                ok = False
+    ok = suites_pass(3, "classical")
     elapsed = time.time() - t0
     report(2, ok and elapsed < 10,
            f"three classical families vanish on 50 random multi-indices each "
@@ -135,10 +132,7 @@ def test_criterion_06_minimality():
 
 def test_criterion_07_primary_generators():
     t0 = time.time()
-    ok = True
-    for family in ("S3", "Z3", "H2"):
-        for check in verify_primaries(family):
-            ok = ok and check.ok
+    ok = suites_pass(17, "primaries")
     elapsed = time.time() - t0
     report(7, ok and elapsed < 60,
            f"all 17 vectors pass weight, invariance and primality checks "
@@ -192,26 +186,7 @@ def test_criterion_10_quantum_dimensions():
 
 def test_criterion_11_vertex_axioms():
     t0 = time.time()
-    rng = random.Random(ACCEPTANCE_SEED)
-
-    def rand_state(basis):
-        out = FockState(3, basis)
-        for _ in range(rng.randint(1, 3)):
-            w = rng.randint(0, 4)
-            out._add_term(rng.choice(enumerate_basis(3, w)),
-                          F(rng.randint(-6, 6), rng.randint(1, 4)))
-        return out
-
-    ok = True
-    for _ in range(100):
-        basis = rng.choice(["a", "b"])
-        u, v = rand_state(basis), rand_state(basis)
-        ok = ok and check_skew_symmetry(u, v, rng.randint(-2, 2)).is_zero()
-    for _ in range(100):
-        basis = rng.choice(["a", "b"])
-        u, v, w = (rand_state(basis) for _ in range(3))
-        p, q, r = (rng.randint(-2, 2) for _ in range(3))
-        ok = ok and check_borcherds(u, v, w, p, q, r).is_zero()
+    ok = suites_pass(2, "axioms")
     elapsed = time.time() - t0
     report(11, ok and elapsed < 60,
            f"200 seeded random skew-symmetry and associativity residuals all "

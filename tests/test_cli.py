@@ -134,3 +134,36 @@ def test_verify_deterministic_output(capsys):
     _, out1 = run_cli(capsys, "verify", "--suite", "axioms", "--format", "json")
     _, out2 = run_cli(capsys, "verify", "--suite", "axioms", "--format", "json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["product", "--u", "a1", "--n", "-1", "--v", "a1(-1)"],
+    ["product", "--u", "3/0*a1(-1)", "--n", "-1", "--v", "a1(-1)"],
+    ["product", "--u", "(1/0)*a1(-1)", "--n", "-1", "--v", "a1(-1)"],
+    ["product", "--u", "a1(-1)", "--n", "-100000", "--v", "a1(-1)"],
+    ["char", "--which", "fock", "--weights", "1/0"],
+    ["char", "--which", "fock", "--weights", "1,2"],
+    ["char", "--which", "w-free", "--weights=-1"],
+    ["char", "--order", "-3", "--which", "s3"],
+    ["dims", "--max-weight", "-2"],
+    ["span", "--max-weight", "13"],
+    ["span", "--max-weight", "-1"],
+    ["qdim", "--module", "fock:1/0,0,0"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_exits_with_usage_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_dims_json(capsys):
+    code, out = run_cli(capsys, "dims", "--max-weight", "12", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["weight"] for r in rows] == list(range(13))
+    assert [r["fock"] for r in rows] == [1, 3, 9, 22, 51, 108, 221, 429, 810,
+                                         1479, 2640, 4599, 7868]
+    assert [r["s3"] for r in rows] == [1, 1, 3, 6, 13, 24, 49, 87, 162, 284,
+                                       499, 846, 1436]
+    assert [r["z3"] for r in rows] == [1, 1, 3, 8, 17, 36, 75, 143, 270, 495,
+                                       880, 1533, 2626]

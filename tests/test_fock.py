@@ -5,12 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h3orbifold.fock import (ALPHA, BETA, FockState, canonical, change_basis,
-                             enumerate_basis, graded_dim, parse_state)
+                             enumerate_basis, parse_state)
+from h3orbifold.qseries import burnside_trace
 from h3orbifold.scalars import Scalar
 
 
 def mono(rank, modes, coeff=F(1), basis=ALPHA):
     return FockState.monomial(rank, modes, coeff, basis)
+
+
+def series_dim(rank, weight):
+    """q^weight coefficient of q^(rank/24) / (q;q)^rank."""
+    ch = burnside_trace((1,) * rank, weight)
+    return int(ch.coefficient(ch.offset + weight))
 
 
 def rand_state(rng, basis=ALPHA, maxw=4, rank=3):
@@ -71,9 +78,9 @@ def test_enumerate_counts_match_series_oracle():
     assert len(enumerate_basis(3, 2)) == 9
     assert len(enumerate_basis(3, 4)) == 51
     for w in range(9):
-        assert len(enumerate_basis(3, w)) == graded_dim(3, w)
+        assert len(enumerate_basis(3, w)) == series_dim(3, w)
     for w in range(7):
-        assert len(enumerate_basis(2, w)) == graded_dim(2, w)
+        assert len(enumerate_basis(2, w)) == series_dim(2, w)
 
 
 def test_enumerate_canonical_unique():
@@ -151,6 +158,13 @@ def test_parse_round_trip():
     for _ in range(30):
         v = rand_state(rng, rng.choice([ALPHA, BETA]))
         assert parse_state(str(v), basis=v.basis) == v
+    # Scalar coefficients of both signs, with and without a rational part
+    for a in (F(-3, 2), F(-1), F(0), F(1), F(2, 5)):
+        for b in (F(-2), F(-1), F(-1, 3), F(1), F(7, 4)):
+            for modes in ([], [(1, 1), (1, 2)]):
+                v = mono(3, modes, Scalar(a, b), basis=BETA) + mono(3, [(2, 3)], F(-1), basis=BETA)
+                assert parse_state(str(v), basis=BETA) == v, str(v)
+    assert str(mono(3, [(1, 1)], Scalar(-1, 1), basis=BETA)) == "-(1 - z)*b1(-1)"
     w = parse_state("(3/2)*a1(-2)a1(-1) + 2*a2(-1)")
     assert w == mono(3, [(2, 1), (1, 1)], F(3, 2)) + mono(3, [(1, 2)], F(2))
     z = parse_state("(1+z)*b2(-1)b3(-1)")
@@ -169,4 +183,21 @@ def test_scalar_coefficients_normalize():
 @given(st.integers(0, 6))
 def test_dimension_oracle_agreement(w):
     # counting oracle equals the partition-product coefficient
-    assert graded_dim(3, w) == len(enumerate_basis(3, w))
+    assert series_dim(3, w) == len(enumerate_basis(3, w))
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="ab0123z()+-*/ ", max_size=24) | st.text(max_size=24))
+def test_parse_state_raises_only_value_error(text):
+    try:
+        state = parse_state(text)
+    except ValueError:
+        return
+    assert isinstance(state, FockState)
+
+
+def test_parse_state_rejects_malformed_input():
+    for text in ["a1", "a1(", "3/0*a1(-1)", "(1/0)*a1(-1)", "a4(-1)", "a0(-1)",
+                 "a1(-1", "c1(-1)", "a1(1)"]:
+        with pytest.raises(ValueError):
+            parse_state(text)

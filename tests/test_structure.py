@@ -3,12 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from h3orbifold.fock import BETA, FockState, enumerate_basis
-from h3orbifold.linalg import Echelon, det_bareiss, lagrange_interpolate, poly_eval
+from h3orbifold.linalg import Echelon, det_bareiss
 from h3orbifold.structure import (DET_A_PATTERNS, S3_GENERATOR_IDS,
                                   Z3_GENERATOR_IDS, build_D,
                                   check_decomposition,
                                   cubic_family_coefficients, det_A,
-                                  det_A_closed_form, det_A_matrix, span_dims)
+                                  det_A_closed_form, det_A_even_polynomial,
+                                  det_A_matrix, span_dims)
 from h3orbifold.symmetry import GROUPS, GeneratorId, act, gen
 from h3orbifold.relations import D3, Tk
 from h3orbifold.vertex import nth_product
@@ -78,10 +79,7 @@ def test_det_A_basic_contract():
 def test_det_A_even_branch_has_the_quoted_singular_factors():
     """The determinant, as a polynomial over even arguments, is divisible by
     exactly the singular factors of the quoted closed form."""
-    pts = [(a, det_A(a)) for a in range(10, 38, 2)]
-    poly = lagrange_interpolate(pts[:13])
-    for a, v in pts[13:]:
-        assert poly_eval(poly, a) == v
+    poly = det_A_even_polynomial()  # checks itself against one extra sample
     assert len(poly) - 1 == 11  # same degree as the closed form
 
     def divide_out(coeffs, root):
