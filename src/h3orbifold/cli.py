@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from . import __version__
 from .fock import DEFAULT_TRUNCATION, enumerate_basis, FockState, parse_state
-from .qseries import (burnside_trace, module_character, orbifold_character,
-                      w_algebra_free_character)
+from .qseries import (MAX_SERIES_ORDER, burnside_trace, module_character,
+                      orbifold_character, w_algebra_free_character)
 from .modular import check_gauss_identity, qdim_estimate, DEFAULT_TOL
 from .structure import MAX_SPAN_WEIGHT
 
@@ -25,13 +25,11 @@ SCHEMA = "h3orbifold-report/1"
 DEFAULT_SEED = "H3S3"
 
 
-def _int_range(lo, hi=None):
-    """argparse type: an integer in lo..hi (no upper end if hi is None)."""
+def _int_range(lo, hi):
+    """argparse type: an integer in lo..hi."""
     def parse(text):
         value = int(text)
-        if hi is None and value < lo:
-            raise argparse.ArgumentTypeError(f"{value} is below {lo}")
-        if hi is not None and not lo <= value <= hi:
+        if not lo <= value <= hi:
             raise argparse.ArgumentTypeError(f"{value} is outside {lo}..{hi}")
         return value
     parse.__name__ = "int"
@@ -424,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_span)
 
     p = sub.add_parser("dims", help="graded dimension table")
-    p.add_argument("--max-weight", type=_int_range(0), default=DEFAULT_TRUNCATION)
+    p.add_argument("--max-weight", type=_int_range(0, MAX_SERIES_ORDER),
+                   default=DEFAULT_TRUNCATION)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=cmd_dims)
 
@@ -432,8 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=["s3", "z3", "sgn", "st", "vac", "fock", "theta",
                             "sigma", "w-free"])
-    p.add_argument("--order", type=_int_range(0), default=DEFAULT_TRUNCATION)
-    p.add_argument("--weights", default="")
+    p.add_argument("--order", type=_int_range(0, MAX_SERIES_ORDER),
+                   default=DEFAULT_TRUNCATION)
+    p.add_argument("--weights", default="",
+                   help="comma-separated rationals; a list that starts "
+                        "with a minus sign takes the form --weights=-1,0,1")
     p.add_argument("--check", dest="check_burnside", action="store_true",
                    help="cross-validate against direct Fock-space traces")
     p.add_argument("--format", default="text", choices=["text", "json"])
@@ -447,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qdim)
 
     p = sub.add_parser("modular", help="eta-transformation identities")
-    p.add_argument("--tau", default="i", help="imaginary point, e.g. i, i/2, 2i")
+    p.add_argument("--tau", default="i",
+                   help="imaginary point, e.g. i, i/2, 2i; a value that "
+                        "starts with a minus sign takes the form --tau=-i")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--quadrature", action="store_true",
                    help="also evaluate the Gaussian integrals by quadrature")

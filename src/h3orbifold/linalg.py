@@ -9,6 +9,7 @@ pivots are chosen as the largest label under the natural ordering.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def _sub_scaled(vec: dict, other: dict, factor: Fraction) -> dict:
@@ -29,25 +30,38 @@ class Echelon:
     def __init__(self):
         self.rows: dict = {}   # pivot label -> vector (pivot coefficient 1)
 
-    def reduce(self, vec: dict) -> dict:
-        """Remainder of vec after elimination against the stored rows."""
+    def _eliminate(self, vec: dict):
+        """(remainder, steps): vec reduced against the stored rows until its
+        leading label has no row, and the (pivot, factor) pairs it took."""
         vec = dict(vec)
+        steps = []
         while vec:
             pivot = max(vec)
             row = self.rows.get(pivot)
             if row is None:
-                return vec
-            vec = _sub_scaled(vec, row, vec[pivot])
-        return vec
+                break
+            factor = vec[pivot]
+            vec = _sub_scaled(vec, row, factor)
+            steps.append((pivot, factor))
+        return vec, steps
+
+    def _store(self, rem: dict):
+        """Store a nonzero remainder as a normalised row; (pivot, 1/lead)."""
+        pivot = max(rem)
+        inv = Fraction(1) / rem[pivot]
+        self.rows[pivot] = {k: v * inv for k, v in rem.items()}
+        return pivot, inv
+
+    def reduce(self, vec: dict) -> dict:
+        """Remainder of vec after elimination against the stored rows."""
+        return self._eliminate(vec)[0]
 
     def insert(self, vec: dict) -> bool:
         """Reduce and store; True if the vector enlarged the span."""
         rem = self.reduce(vec)
         if not rem:
             return False
-        pivot = max(rem)
-        inv = Fraction(1) / rem[pivot]
-        self.rows[pivot] = {k: v * inv for k, v in rem.items()}
+        self._store(rem)
         return True
 
     @property
@@ -55,56 +69,41 @@ class Echelon:
         return len(self.rows)
 
 
-class SolverBasis:
-    """Echelon family that remembers coordinates in the inserted vectors."""
+class SolverBasis(Echelon):
+    """Echelon that also remembers each row's coordinates in the inserted
+    vectors (numbered 0, 1, ... in insertion order)."""
 
     def __init__(self):
-        self.rows: list = []        # (pivot, vector, coords)
-        self.pivots: dict = {}      # pivot label -> row index
+        super().__init__()
+        self.coords: dict = {}      # pivot label -> coordinates of its row
         self.n_inserted = 0
 
+    def _combine(self, coords: dict, steps, sign) -> dict:
+        """coords - sign * sum of factor * (coordinates of the pivot's row)."""
+        for pivot, factor in steps:
+            coords = _sub_scaled(coords, self.coords[pivot], sign * factor)
+        return coords
+
     def insert(self, vec: dict) -> bool:
-        coords = {self.n_inserted: Fraction(1)}
+        index = self.n_inserted
         self.n_inserted += 1
-        vec = dict(vec)
-        while vec:
-            pivot = max(vec)
-            idx = self.pivots.get(pivot)
-            if idx is None:
-                inv = Fraction(1) / vec[pivot]
-                vec = {k: v * inv for k, v in vec.items()}
-                coords = {k: v * inv for k, v in coords.items()}
-                self.pivots[pivot] = len(self.rows)
-                self.rows.append((pivot, vec, coords))
-                return True
-            _, row_vec, row_coords = self.rows[idx]
-            f = vec[pivot]
-            vec = _sub_scaled(vec, row_vec, f)
-            coords = _sub_scaled(coords, row_coords, f)
-        return False
+        rem, steps = self._eliminate(vec)
+        if not rem:
+            return False
+        coords = self._combine({index: Fraction(1)}, steps, 1)
+        pivot, inv = self._store(rem)
+        self.coords[pivot] = {k: v * inv for k, v in coords.items()}
+        return True
 
     def solve(self, target: dict):
         """Coefficients expressing target over the inserted vectors, or None.
 
         Returns a dict {insertion index: coefficient}.
         """
-        vec = dict(target)
-        coords: dict = {}
-        while vec:
-            pivot = max(vec)
-            idx = self.pivots.get(pivot)
-            if idx is None:
-                return None
-            _, row_vec, row_coords = self.rows[idx]
-            f = vec[pivot]
-            vec = _sub_scaled(vec, row_vec, f)
-            for k, v in row_coords.items():
-                new = coords.get(k, Fraction(0)) + f * v
-                if new:
-                    coords[k] = new
-                else:
-                    coords.pop(k, None)
-        return coords
+        rem, steps = self._eliminate(target)
+        if rem:
+            return None
+        return self._combine({}, steps, -1)
 
 
 def det_bareiss(matrix) -> Fraction:
@@ -122,9 +121,7 @@ def det_bareiss(matrix) -> Fraction:
     scale = Fraction(1)
     m = []
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in row))
         scale /= den
         m.append([int(x * den) for x in row])
 
@@ -145,48 +142,3 @@ def det_bareiss(matrix) -> Fraction:
             m[i][k] = 0
         prev = m[k][k]
     return scale * sign * m[n - 1][n - 1]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a >= 0 else -a
-
-
-def lagrange_interpolate(points) -> list:
-    """Coefficients (ascending) of the unique poly through (x, y) points."""
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # basis polynomial prod_{j!=i} (t - x_j) / (x_i - x_j)
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            num = _poly_mul_linear(num, -xs[j])
-            den *= xs[i] - xs[j]
-        f = ys[i] / den
-        for k, c in enumerate(num):
-            coeffs[k] += f * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul_linear(poly, constant):
-    """poly * (t + constant)."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i] += c * constant
-        out[i + 1] += c
-    return out
-
-
-def poly_eval(coeffs, x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

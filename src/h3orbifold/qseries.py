@@ -2,22 +2,20 @@
 
 A series is a rational offset plus coefficients on the lattice (1/D)Z,
 complete for exponents up to a stated truncation order.  Character formulas
-are products of inverse Pochhammer symbols; graded dimensions come from
-averaging trace series over conjugacy classes.
+are products of inverse Pochhammer symbols, each expanded by one integer pass
+of the partition recurrence (``_inverse_product``); graded dimensions come
+from averaging trace series over conjugacy classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 DEFAULT_ORDER = 12
-DEFAULT_LATTICE = 72
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+#: largest truncation order the CLI accepts (``dims --max-weight``,
+#: ``char --order``)
+MAX_SERIES_ORDER = 1000
 
 
 class FracSeries:
@@ -37,10 +35,6 @@ class FracSeries:
                 c = Fraction(c)
                 if c and self.offset + Fraction(k, D) <= self.order:
                     self.coeffs[k] = c
-
-    @classmethod
-    def one(cls, order=DEFAULT_ORDER, D: int = 1) -> "FracSeries":
-        return cls(D, 0, {0: Fraction(1)}, order)
 
     def rebase(self, D: int) -> "FracSeries":
         """Move to a finer lattice (D must be a multiple of the current one)."""
@@ -68,7 +62,7 @@ class FracSeries:
 
     def _aligned(self, other: "FracSeries"):
         """Rebase both series onto a common lattice and common offset."""
-        D = _lcm(self.D, other.D)
+        D = lcm(self.D, other.D)
         offset = min(self.offset, other.offset)
         out = []
         for s in (self.rebase(D), other.rebase(D)):
@@ -102,7 +96,7 @@ class FracSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        D = _lcm(self.D, other.D)
+        D = lcm(self.D, other.D)
         a = self.rebase(D)
         b = other.rebase(D)
         offset = a.offset + b.offset
@@ -158,6 +152,26 @@ class FracSeries:
         }
 
 
+def _inverse_product(D: int, order, parts) -> FracSeries:
+    """prod_{p in parts} (1 - q^(p/D))^(-1) up to the order, for positive
+    lattice parts p: one pass of the partition recurrence per part, on
+    Python ints."""
+    order = Fraction(order)
+    top = int(order * D)
+    coeffs = [1] + [0] * top
+    for p in parts:
+        for k in range(p, top + 1):
+            coeffs[k] += coeffs[k - p]
+    return FracSeries(D, 0, {k: c for k, c in enumerate(coeffs) if c}, order)
+
+
+def _multiples(D: int, order, steps) -> list:
+    """The lattice parts step*n (n >= 1, up to the order) of every step."""
+    top = int(Fraction(order) * D)
+    return [p for step in steps
+            for p in range(int(step * D), top + 1, int(step * D))]
+
+
 def pochhammer_inv(step, order=DEFAULT_ORDER) -> FracSeries:
     """Expansion of prod_{n>=1} (1 - q^(step*n))^(-1) up to the order.
 
@@ -167,61 +181,43 @@ def pochhammer_inv(step, order=DEFAULT_ORDER) -> FracSeries:
     if step <= 0:
         raise ValueError("step must be positive")
     D = step.denominator
-    order_f = Fraction(order)
-    n_slots = int((order_f * D))
-    stepD = int(step * D)
-    coeffs = [Fraction(0)] * (n_slots + 1)
-    coeffs[0] = Fraction(1)
-    n = 1
-    while stepD * n <= n_slots:
-        part = stepD * n
-        for k in range(part, n_slots + 1):
-            coeffs[k] += coeffs[k - part]
-        n += 1
-    return FracSeries(D, 0, {k: c for k, c in enumerate(coeffs) if c}, order_f)
-
-
-def pochhammer_single_inv(start: int, order=DEFAULT_ORDER) -> FracSeries:
-    """prod_{m>=start} (1 - q^m)^(-1)."""
-    order_f = Fraction(order)
-    n = int(order_f)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[0] = Fraction(1)
-    for part in range(start, n + 1):
-        for k in range(part, n + 1):
-            coeffs[k] += coeffs[k - part]
-    return FracSeries(1, 0, {k: c for k, c in enumerate(coeffs) if c}, order_f)
+    return _inverse_product(D, order, _multiples(D, order, (step,)))
 
 
 def burnside_trace(cycle_type, order=DEFAULT_ORDER) -> FracSeries:
     """Trace series of a permutation with the given cycle type on the rank-n
     Fock space, including the q^(-n/24) prefactor."""
     cycle_type = tuple(cycle_type)
-    n = sum(cycle_type)
-    out = FracSeries.one(order)
-    for ell in cycle_type:
-        out = out * pochhammer_inv(ell, order)
-    return out.shift(Fraction(-n, 24))
+    series = _inverse_product(1, order, _multiples(1, order, cycle_type))
+    return series.shift(Fraction(-sum(cycle_type), 24))
 
 
+#: class sums over S3: (divisor, ((cycle type, weight), ...)).  S3 and Z3
+#: average the traces over the group; sgn and st weight them with the sign
+#: and standard characters, giving the isotypic pieces of the Fock space
 _CLASS_DATA = {
     "S3": (6, (((1, 1, 1), 1), ((2, 1), 3), ((3,), 2))),
     "Z3": (3, (((1, 1, 1), 1), ((3,), 2))),
+    "sgn": (6, (((1, 1, 1), 1), ((2, 1), -3), ((3,), 2))),
+    "st": (3, (((1, 1, 1), 1), ((3,), -1))),
 }
 
 
-def orbifold_character(group: str, order=DEFAULT_ORDER) -> FracSeries:
-    """Graded dimension series of the invariant subalgebra, by averaging the
-    class traces."""
-    data = _CLASS_DATA.get(group)
-    if data is None:
-        raise ValueError(f"unknown group {group!r} (use S3 or Z3)")
-    size, classes = data
+def _class_sum(name: str, order) -> FracSeries:
+    size, classes = _CLASS_DATA[name]
     out = None
     for cycle_type, mult in classes:
         term = burnside_trace(cycle_type, order).scale(mult)
         out = term if out is None else out + term
     return out.scale(Fraction(1, size))
+
+
+def orbifold_character(group: str, order=DEFAULT_ORDER) -> FracSeries:
+    """Graded dimension series of the invariant subalgebra, by averaging the
+    class traces."""
+    if group not in ("S3", "Z3"):
+        raise ValueError(f"unknown group {group!r} (use S3 or Z3)")
+    return _class_sum(group, order)
 
 
 def twist_weight(p: int, r) -> Fraction:
@@ -248,15 +244,8 @@ def module_character(kind: str, order=DEFAULT_ORDER, weights=()) -> FracSeries:
         return burnside_trace((1, 1, 1), order)
     if kind == "orb":
         return orbifold_character("S3", order)
-    if kind == "sgn":
-        e = burnside_trace((1, 1, 1), order)
-        t = burnside_trace((2, 1), order).scale(3)
-        c = burnside_trace((3,), order).scale(2)
-        return (e - t + c).scale(Fraction(1, 6))
-    if kind == "st":
-        e = burnside_trace((1, 1, 1), order)
-        c = burnside_trace((3,), order)
-        return (e - c).scale(Fraction(1, 3))
+    if kind in ("sgn", "st"):
+        return _class_sum(kind, order)
     if kind == "fock":
         if len(weights) != 3:
             raise ValueError("fock takes three highest weights")
@@ -267,7 +256,8 @@ def module_character(kind: str, order=DEFAULT_ORDER, weights=()) -> FracSeries:
             raise ValueError("theta takes two highest weights")
         shift = sum(w * w / 2 for w in weights)
         h = twist_weight(2, (1,))
-        base = pochhammer_inv(Fraction(1, 2), order) * pochhammer_inv(1, order)
+        base = _inverse_product(2, order,
+                                _multiples(2, order, (Fraction(1, 2), 1)))
         return base.shift(h - Fraction(3, 24) + shift)
     if kind == "sigma":
         if len(weights) != 1:
@@ -282,10 +272,9 @@ def module_character(kind: str, order=DEFAULT_ORDER, weights=()) -> FracSeries:
 def w_algebra_free_character(gen_weights, order=DEFAULT_ORDER) -> FracSeries:
     """Graded dimensions of a freely generated algebra with one generator per
     listed weight: prod_w prod_{m>=w} (1-q^m)^(-1)."""
-    out = FracSeries.one(order)
-    for w in gen_weights:
-        out = out * pochhammer_single_inv(int(w), order)
-    return out
+    top = int(order)
+    return _inverse_product(1, order, [m for w in gen_weights
+                                       for m in range(int(w), top + 1)])
 
 
 def fock_trace_series(sigma, max_weight: int) -> FracSeries:

@@ -11,7 +11,7 @@ from math import comb
 
 from .classical import RELATION_TERMS
 from .fock import BETA, FockState, monomial_weight
-from .linalg import Echelon, SolverBasis, det_bareiss, lagrange_interpolate, poly_eval
+from .linalg import Echelon, SolverBasis, det_bareiss
 from .symmetry import GeneratorId, build_generator, gen, generator_weight, is_invariant
 from .vertex import nth_product, translate_power
 
@@ -237,9 +237,16 @@ def det_A_even_polynomial() -> list:
     """Coefficients (ascending) of the determinant as a polynomial over even
     arguments, interpolated from collision-free samples and stability-checked."""
     samples = [(a, det_A(a)) for a in range(10, 10 + 2 * _DET_A_SAMPLES, 2)]
-    poly = lagrange_interpolate(samples[:-1])
-    a, v = samples[-1]
-    if poly_eval(poly, a) != v:
+    fit, (a, v) = samples[:-1], samples[-1]
+    # Vandermonde solve: column j holds x^j at every fitted sample
+    sb = SolverBasis()
+    for j in range(len(fit)):
+        sb.insert({i: Fraction(x) ** j for i, (x, _) in enumerate(fit)})
+    coords = sb.solve({i: y for i, (_, y) in enumerate(fit) if y})
+    poly = [coords.get(j, Fraction(0)) for j in range(len(fit))]
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    if sum(c * a ** j for j, c in enumerate(poly)) != v:
         raise AssertionError("determinant interpolation did not stabilize")
     return poly
 

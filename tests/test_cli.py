@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from h3orbifold.cli import main
+from h3orbifold.qseries import MAX_SERIES_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +148,8 @@ def test_verify_deterministic_output(capsys):
     ["char", "--which", "w-free", "--weights=-1"],
     ["char", "--order", "-3", "--which", "s3"],
     ["dims", "--max-weight", "-2"],
+    ["dims", "--max-weight", str(MAX_SERIES_ORDER + 1)],
+    ["char", "--which", "s3", "--order", str(MAX_SERIES_ORDER + 1)],
     ["span", "--max-weight", "13"],
     ["span", "--max-weight", "-1"],
     ["qdim", "--module", "fock:1/0,0,0"],
@@ -167,3 +171,65 @@ def test_dims_json(capsys):
                                        499, 846, 1436]
     assert [r["z3"] for r in rows] == [1, 1, 3, 8, 17, 36, 75, 143, 270, 495,
                                        880, 1533, 2626]
+
+
+def test_values_with_a_leading_minus_take_the_equals_form(capsys):
+    code, out = run_cli(capsys, "char", "--which=fock", "--weights=-1,0,1")
+    assert code == 0
+    assert out.startswith("character fock, offset q^(7/8)")
+    # "-i" reaches the tau parser, which rejects the lower half-plane
+    with pytest.raises(SystemExit) as exc:
+        main(["modular", "--tau=-i"])
+    assert exc.value.code == 2
+    assert "upper half-plane" in capsys.readouterr().err
+
+
+#: SHA-256 of ``h3orb char --format=json --order=40`` for every character,
+#: with the benchmark's highest-weight candidates for fock/theta/sigma and
+#: both generating types of the paper for w-free
+CHAR_JSON_SHA256 = {
+    ("s3", ""): "62b49041cd5e326064cf71503e3d34bbae6b13ff9ed49f7b16f1b88e329f7c78",
+    ("z3", ""): "1ac9530eda98cf783d454cb41cc60e15acb53e306a98f280e85408fd00a69817",
+    ("sgn", ""): "27fb60e0f2f13f5bd7dd6021c2900bf67692f2a6de18d19be2e175908071071f",
+    ("st", ""): "79a899f5ababc918ab00bd4528d3b4a17b8a0f96f9337a9e75ddfcc2ad11063c",
+    ("vac", ""): "2578564c4c9502ba450e5241e24a786ba4305982a4b25150bbd1db2a7a2b4767",
+    ("fock", "0,0,0"): "8a9e00f21e4a4bbb58e36c0002f3cf964b375319195d9cf18c5df704562d71db",
+    ("fock", "1/2,1/3,1/4"): "0ebcadb6ac564a71308e09533d774c336dc8e4ecf9928d2f6235a3492084704c",
+    ("fock", "1,0,-1"): "e2eb97cd6003ef490e7c06b19c1fc8e02c1a813feddb416989871177465ae962",
+    ("fock", "2/3,-1/5,3/7"): "19412d5351dcbe3c1bbf6b17de0f91a24cd96c41593eb30008bf6b46ca55c84e",
+    ("fock", "1/6,1/6,1/6"): "bd5ec7f6c931f116786fb32d20848ec180f14eb4af5ccd5b69f443f9ff1f7937",
+    ("fock", "-3/4,1/2,0"): "23c18f795f039626f014649bf19757f420fe2747e0b678563a37a495766c46f3",
+    ("fock", "5/3,2/5,-1/2"): "c07f51219cace20de4bab0b04135ce2e55fd0cdfebcaa45be7f9fb22c556b9a5",
+    ("fock", "1/9,2/9,4/9"): "a49329c02f46e9d14b9a8ee8b02da2a03001091f83e7dbd02ccbe086f7b34e14",
+    ("theta", "0,0"): "b3a4ff12238e4ddebbbdad6a669f620159bc8caf465c2e590d743d2bbf63c492",
+    ("theta", "1/2,1/3"): "193c247512fc60f8f271c69733d69c0ec23d2c3ee89232fafbcc15df28dbdc1a",
+    ("theta", "1,-1"): "4d366a4b24fa303bb0d9dd7d7bcd07003ca8330221ea54f7bfdd10e189e6f919",
+    ("theta", "2/3,1/5"): "21566f5ded46d6b958799d69fddb72f9fda0c37e1e7672396310bda045dcf644",
+    ("theta", "1/6,1/6"): "f4af35b17c1d9c0a1184df1316e95cac484e6d84dd5db8b843217f352e03be60",
+    ("theta", "-3/4,0"): "f0e8097aa2dd1b5070f7d3585a584066efd991647d901ffcf869eecd67c2d16f",
+    ("theta", "5/3,2/5"): "680b25f0c3ee6732ddb24f011054c11c0ed7ce750d7d754083e0ccad1e550bf0",
+    ("theta", "1/9,4/9"): "24a8ff0abb241df4952562d1770b6d7ac0b8e6fce78a5086380603813c555956",
+    ("sigma", "0"): "3658847aa1d8da1978aeb0b5237a541fd45d9fa1c804c60e1a39189089a39731",
+    ("sigma", "1/2"): "12d059459516e548bdeeed0d38e30dad09ef6f79779b7aa0fe096e4723881b9b",
+    ("sigma", "1/3"): "7f9684bfc86bd1d49733fa9cc5d4e0d467984b220c1ffa946b678682284f7377",
+    ("sigma", "-1"): "31fb2efd580599c0c89d6d836a1bb7d16615bd4977372bcaecacf9dc5852caae",
+    ("sigma", "2/3"): "7ecb72e0e9ec35a755034c48dd9e1874cd3533486fb880ffa622cdcf460a58df",
+    ("sigma", "1/6"): "95fbafde8aa15cc2fcf1fca98050195dc2b88a69da856c96a2863721ddcc86d4",
+    ("sigma", "-3/4"): "146781561a80c171abf3f490469c63cc2747b08b74f4830691f500e5c1b57cda",
+    ("sigma", "5/3"): "3a9afd8d18d50fe1ebae80d6f2cdbf526a4cc1029e12138615735f0f02b5ab4c",
+    ("w-free", "1,2,3,4,5,6,6"): "0d8b9f62f00ae5ce3dddb25f35ace240dd81c8a72f2eb94faf45ddd45c86ffef",
+    ("w-free", "1,2,3,3,3,4,5,5,5"): "d456ab19744d2220ea2797154a218e2e520b436d46ae0385044f1a38c2239a22",
+}
+
+
+@pytest.mark.parametrize("key", list(CHAR_JSON_SHA256),
+                         ids=lambda key: ":".join(filter(None, key)))
+def test_char_json_is_pinned(capsys, key):
+    which, weights = key
+    argv = ["char", f"--which={which}", "--order=40", "--format=json"]
+    if weights:
+        argv.append(f"--weights={weights}")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CHAR_JSON_SHA256[key]

@@ -42,6 +42,20 @@ def test_burnside_matches_direct_fock_traces():
         assert prev == direct
 
 
+def test_products_match_series_multiplication():
+    # the one-pass kernel against FracSeries.__mul__ of single factors
+    for cycle_type in ((1, 1, 1), (2, 1), (3,)):
+        product = FracSeries(1, 0, {0: 1}, 20)
+        for ell in cycle_type:
+            product = product * pochhammer_inv(ell, 20)
+        product = product.shift(F(-sum(cycle_type), 24))
+        assert burnside_trace(cycle_type, 20).to_json() == product.to_json()
+    theta = module_character("theta", 20, weights=(0, 0))
+    base = pochhammer_inv(F(1, 2), 20) * pochhammer_inv(1, 20)
+    expected = base.shift(twist_weight(2, (1,)) - F(3, 24))
+    assert theta.to_json() == expected.to_json()
+
+
 def test_orbifold_characters():
     s3 = orbifold_character("S3", 8)
     z3 = orbifold_character("Z3", 8)
