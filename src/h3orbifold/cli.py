@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[*SUITES, "all"])
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--seed", default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("span", help="graded dimensions of a strong span")
     p.add_argument("--group", default="s3", choices=["s3", "z3"])
@@ -419,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop", default=None,
                    help="generator to remove, e.g. omega3(0,1,2)")
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.set_defaults(func=cmd_span)
+    p.set_defaults(func=cmd_span, parser=p)
 
     p = sub.add_parser("dims", help="graded dimension table")
     p.add_argument("--max-weight", type=_int_range(0, MAX_SERIES_ORDER),
                    default=DEFAULT_TRUNCATION)
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.set_defaults(func=cmd_dims)
+    p.set_defaults(func=cmd_dims, parser=p)
 
     p = sub.add_parser("char", help="character series")
     p.add_argument("--which", required=True,
@@ -439,14 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", dest="check_burnside", action="store_true",
                    help="cross-validate against direct Fock-space traces")
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.set_defaults(func=cmd_char)
+    p.set_defaults(func=cmd_char, parser=p)
 
     p = sub.add_parser("qdim", help="quantum-dimension ratio estimates")
     p.add_argument("--module", required=True,
                    help="e.g. fock:1/2,1/4,1/8  theta:0,0  sigma:0  sgn  st")
     p.add_argument("--t-list", default="0.1,0.05,0.02")
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.set_defaults(func=cmd_qdim)
+    p.set_defaults(func=cmd_qdim, parser=p)
 
     p = sub.add_parser("modular", help="eta-transformation identities")
     p.add_argument("--tau", default="i",
@@ -456,26 +456,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quadrature", action="store_true",
                    help="also evaluate the Gaussian integrals by quadrature")
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.set_defaults(func=cmd_modular)
+    p.set_defaults(func=cmd_modular, parser=p)
 
     p = sub.add_parser("product", help="compute a mode product u_n v")
     p.add_argument("--u", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.set_defaults(func=cmd_product)
+    p.set_defaults(func=cmd_product, parser=p)
 
     p = sub.add_parser("manifest", help="relation catalog summary")
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.set_defaults(func=cmd_manifest)
+    p.set_defaults(func=cmd_manifest, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    args = build_parser().parse_args(argv)
+    # each command reports usage errors through its own subparser
+    return args.func(args, args.parser)
 
 
 if __name__ == "__main__":

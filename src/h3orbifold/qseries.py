@@ -271,9 +271,14 @@ def module_character(kind: str, order=DEFAULT_ORDER, weights=()) -> FracSeries:
 
 def w_algebra_free_character(gen_weights, order=DEFAULT_ORDER) -> FracSeries:
     """Graded dimensions of a freely generated algebra with one generator per
-    listed weight: prod_w prod_{m>=w} (1-q^m)^(-1)."""
+    listed weight: prod_w prod_{m>=w} (1-q^m)^(-1).  A weight that is not a
+    positive integer raises ValueError."""
+    weights = [Fraction(w) for w in gen_weights]
+    if any(w <= 0 or w.denominator != 1 for w in weights):
+        raise ValueError("generator weights must be positive integers, got "
+                         + ", ".join(map(str, weights)))
     top = int(order)
-    return _inverse_product(1, order, [m for w in gen_weights
+    return _inverse_product(1, order, [m for w in weights
                                        for m in range(int(w), top + 1)])
 
 

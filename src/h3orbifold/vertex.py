@@ -20,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .fock import ALPHA, BETA, FockState, Monomial, canonical, monomial_weight
+from .fock import (_BETA_PAIR, ALPHA, BETA, FockState, Monomial, canonical,
+                   monomial_weight)
 
 #: memo table for monomial-level products, keyed by (basis, u, n, v)
 _PRODUCT_CACHE: dict = {}
@@ -40,16 +41,19 @@ def _gen_binom(top: int, k: int) -> int:
     return (-1) ** k * comb(-top + k - 1, k)
 
 
-def _monomial_product(basis: str, rank: int, u: Monomial, n: int,
-                      v: Monomial) -> dict:
-    """dict monomial -> Fraction for (u-monomial)_n (v-monomial)."""
+def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> dict:
+    """dict monomial -> int for (u-monomial)_n (v-monomial).
+
+    Every coefficient is an integer (binomials times bracket levels), so the
+    memo holds Python ints; ``nth_product`` applies the state coefficients.
+    """
     key = (basis, u, n, v)
     hit = _PRODUCT_CACHE.get(key)
     if hit is not None:
         return hit
 
     if not u:
-        result = {v: Fraction(1)} if n == -1 else {}
+        result = {v: 1} if n == -1 else {}
         _PRODUCT_CACHE[key] = result
         return result
 
@@ -65,7 +69,7 @@ def _monomial_product(basis: str, rank: int, u: Monomial, n: int,
         c = _gen_binom(-k - 1, m - 1)
         if c == 0:
             continue
-        inner = _monomial_product(basis, rank, rest, n - k - m, v)
+        inner = _monomial_product(basis, rest, n - k - m, v)
         if not inner:
             continue
         for mon, cf in inner.items():
@@ -76,23 +80,25 @@ def _monomial_product(basis: str, rank: int, u: Monomial, n: int,
             else:
                 result.pop(mon2, None)
 
-    # annihilation side: k >= 1 (the zero mode kills everything here)
-    state_v = FockState(rank, basis, {v: Fraction(1)})
+    # annihilation side: k >= 1 (the zero mode kills everything here).
+    # x_field(k) contracts each copy of the partner mode x_partner(-k) in v
+    # with bracket value k; the copies are equal, so one removal times their
+    # multiplicity gives the whole contraction.
+    partner = _BETA_PAIR[field] if basis == BETA else field
     for k in range(1, v_wt + 1):
-        c = _gen_binom(-k - 1, m - 1)
-        if c == 0:
+        mode = (k, partner)
+        mult = v.count(mode)
+        if not mult:
             continue
-        annihilated = state_v.apply_annihilation(field, k)
-        if annihilated.is_zero():
-            continue
-        for mon_a, cf_a in annihilated.terms.items():
-            inner = _monomial_product(basis, rank, rest, n - k - m, mon_a)
-            for mon, cf in inner.items():
-                val = result.get(mon, 0) + c * cf_a * cf
-                if val:
-                    result[mon] = val
-                else:
-                    result.pop(mon, None)
+        pos = v.index(mode)
+        c = _gen_binom(-k - 1, m - 1) * mult * k
+        inner = _monomial_product(basis, rest, n - k - m, v[:pos] + v[pos + 1:])
+        for mon, cf in inner.items():
+            val = result.get(mon, 0) + c * cf
+            if val:
+                result[mon] = val
+            else:
+                result.pop(mon, None)
 
     _PRODUCT_CACHE[key] = result
     return result
@@ -114,7 +120,7 @@ def nth_product(u: FockState, n: int, v: FockState,
     for mu, cu in u.terms.items():
         for mv, cv in v.terms.items():
             coeff = cu * cv
-            for mon, cf in _monomial_product(u.basis, u.rank, mu, n, mv).items():
+            for mon, cf in _monomial_product(u.basis, mu, n, mv).items():
                 out._add_term(mon, coeff * cf)
     return out
 

@@ -153,11 +153,19 @@ def test_verify_deterministic_output(capsys):
     ["span", "--max-weight", "13"],
     ["span", "--max-weight", "-1"],
     ["qdim", "--module", "fock:1/0,0,0"],
+    ["modular", "--tau=-i"],
+    ["char", "--which", "w-free"],
+    ["span", "--drop", "omega9(1)"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_with_usage_error(capsys, argv):
-    code, out = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    # the usage and the message are the command's, not those of every verb
+    assert out.err.startswith(f"usage: h3orb {argv[0]} ")
+    assert f"h3orb {argv[0]}: error: " in out.err
 
 
 def test_dims_json(capsys):

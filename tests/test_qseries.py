@@ -107,6 +107,18 @@ def test_free_type_character_mismatch_exponents():
     assert orb.first_difference(wf9) == 10
 
 
+@pytest.mark.parametrize("weights", [[0], [-1], [1, 0], [F(1, 2)], [2, F(-3)]],
+                         ids=str)
+def test_free_type_character_rejects_non_positive_integer_weights(weights):
+    with pytest.raises(ValueError):
+        w_algebra_free_character(weights, 3)
+
+
+def test_free_type_character_accepts_integral_fractions():
+    assert (w_algebra_free_character([F(2), F(1)], 6).to_json()
+            == w_algebra_free_character([1, 2], 6).to_json())
+
+
 def test_series_arithmetic():
     a = FracSeries(2, F(-1, 8), {0: F(1), 1: F(2)}, order=4)
     b = FracSeries(3, F(-1, 8), {0: F(1)}, order=4)

@@ -172,3 +172,24 @@ def test_z3_setup_derivative_displays():
         lhs = w(0, 1, 1)
         rhs = w(0, 0, 2).scale(-1) + Tk(w(0, 0, 0), 2).scale(F(1, 3))
         assert (lhs - rhs).is_zero()
+
+
+def test_s3_span_in_the_b_basis_matches_the_a_basis():
+    # the b pairing (field 2 with 3) against the a pairing, same generators
+    from h3orbifold.fock import change_basis
+    from h3orbifold.symmetry import build_generator
+    gens = [change_basis(build_generator(g), "b") for g in S3_GENERATOR_IDS]
+    assert all(g.basis == "b" for g in gens)
+    rep_b = span_dims(gens, 6, "S3")
+    rep_a = span_dims(S3_GENERATOR_IDS, 6, "S3")
+    assert rep_b.dims_spanned == rep_a.dims_spanned
+    assert rep_b.all_matched
+
+
+def test_product_memo_holds_integers_after_a_span():
+    from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
+    clear_product_cache()
+    span_dims(Z3_GENERATOR_IDS, 6, "Z3")
+    assert _PRODUCT_CACHE
+    assert all(type(c) is int
+               for terms in _PRODUCT_CACHE.values() for c in terms.values())

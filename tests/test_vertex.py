@@ -162,3 +162,37 @@ def test_memoization_consistency():
     assert first == again
     clear_product_cache()
     assert nth_product(u, -1, v) == first
+
+
+#: SHA-256 of the text of u_n v, one line per product, over every ordered
+#: pair of generators with wt(u) + wt(v) <= 6 and n = -3..3 (generators in
+#: the named basis, optionally scaled by 2 - z), recorded before the product
+#: memo held integer coefficients
+PRODUCT_GRID_SHA256 = {
+    ("S3", "a", False): "53a0db52e93a86aac36966bd80d8f58e79ad9639bd20d1bb153d65fb8f946b04",
+    ("S3", "b", False): "bdfdab12e069e74584595669726bb14851259bce794cc351a34f0f6eb77845cd",
+    ("Z3", "a", False): "fbcd5b494ce0bb41e9fd24585fc9feea5abdfb7189cc47cb37f2a41245ed85c3",
+    ("Z3", "b", False): "bc3fedabe6b4536aaeb487f4d9015664d03a990f287d11e95af84e6928539623",
+    ("Z3", "b", True): "2237b8e62841e4d9403c37e1c30551e853d8a599070ee7fcc75ce4ce80d36739",
+}
+
+
+@pytest.mark.parametrize("key", list(PRODUCT_GRID_SHA256),
+                         ids=lambda key: f"{key[0]}-{key[1]}{'-qz' if key[2] else ''}")
+def test_generator_products_are_pinned(key):
+    import hashlib
+    from h3orbifold.fock import change_basis
+    from h3orbifold.scalars import Scalar
+    from h3orbifold.structure import S3_GENERATOR_IDS, Z3_GENERATOR_IDS
+    from h3orbifold.symmetry import build_generator
+    group, basis, scaled = key
+    ids = S3_GENERATOR_IDS if group == "S3" else Z3_GENERATOR_IDS
+    gens = [change_basis(build_generator(g), basis) for g in ids]
+    if scaled:
+        gens = [g.scale(Scalar(2, -1)) for g in gens]
+    lines = [str(nth_product(u, n, v))
+             for u in gens for v in gens
+             if u.max_weight() + v.max_weight() <= 6
+             for n in range(-3, 4)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PRODUCT_GRID_SHA256[key]
