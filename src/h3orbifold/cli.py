@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -34,6 +35,17 @@ def _int_range(lo, hi):
         return value
     parse.__name__ = "int"
     return parse
+
+
+def _positive_float(text):
+    """argparse type: a finite float above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
+    return value
 
 
 def _fractions(text):
@@ -452,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", default="i",
                    help="imaginary point, e.g. i, i/2, 2i; a value that "
                         "starts with a minus sign takes the form --tau=-i")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p.add_argument("--quadrature", action="store_true",
                    help="also evaluate the Gaussian integrals by quadrature")
     p.add_argument("--format", default="text", choices=["text", "json"])

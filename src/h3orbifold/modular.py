@@ -41,10 +41,6 @@ def eta(tau: complex, tol: float = DEFAULT_TOL) -> complex:
     return out
 
 
-def _sqrt_minus_i_tau(tau: complex) -> complex:
-    return cmath.sqrt(-1j * tau)
-
-
 @dataclass
 class IdentityReport:
     identity: str
@@ -102,9 +98,24 @@ def check_gauss_identity(line: int, tau: complex, tol: float = DEFAULT_TOL,
     tau = _check_upper_half(tau)
     if abs(tau.real) > 1e-12:
         raise ValueError("tau must be purely imaginary for these checks")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
+    if line not in (1, 2, 3):
+        raise ValueError("line must be 1, 2 or 3")
     t = tau.imag
-    root = _sqrt_minus_i_tau(tau)
+    try:
+        report = _gauss_identity(line, tau, t, tol, quadrature)
+    except (OverflowError, ZeroDivisionError):
+        report = None
+    if report is None or not math.isfinite(report.rel_err):
+        raise ValueError(f"tau = {t:g}i is outside the double-precision range "
+                         "of these checks")
+    return report
 
+
+def _gauss_identity(line, tau, t, tol, quadrature) -> IdentityReport:
+    """The report of one identity; may overflow or divide by zero when tau
+    is far from i."""
     if line == 1:
         lhs = 1.0 / eta(-1.0 / tau, tol) ** 3
         gauss = _gauss_value(t, 3)
@@ -115,13 +126,11 @@ def check_gauss_identity(line: int, tau: complex, tol: float = DEFAULT_TOL,
         gauss = _gauss_value(t, 2)
         rhs = math.sqrt(2.0) * gauss / (eta(tau, tol) * eta(tau / 2.0, tol))
         quad = _gauss_quadrature(t, 2) if quadrature else None
-    elif line == 3:
+    else:
         lhs = 1.0 / eta(-3.0 / tau, tol)
         gauss = _gauss_value(t, 1)
         rhs = math.sqrt(3.0) * gauss / eta(tau / 3.0, tol)
         quad = _gauss_quadrature(t, 1) if quadrature else None
-    else:
-        raise ValueError("line must be 1, 2 or 3")
 
     rel = abs(lhs - rhs) / abs(lhs)
     report = IdentityReport(f"gauss-eta-{line}", tau, lhs, rhs, rel, rel <= tol)
@@ -211,12 +220,17 @@ def qdim_estimate(kind: str, t_list, weights=()) -> QdimReport:
     t_desc = sorted((float(t) for t in t_list), reverse=True)
     if any(t <= 0 for t in t_desc):
         raise ValueError("t values must be positive")
-    if len(t_desc) < 2:
-        raise ValueError("need at least two sample points")
-    ratios = []
-    for t in t_desc:
-        denom = character_value("orb", t)
-        ratios.append(character_value(kind, t, weights) / denom)
+    if len(t_desc) < 2 or t_desc[-1] == t_desc[-2]:
+        raise ValueError("need at least two sample points, the two smallest "
+                         "distinct")
+    try:
+        ratios = [character_value(kind, t, weights) / character_value("orb", t)
+                  for t in t_desc]
+    except (OverflowError, ZeroDivisionError):
+        ratios = None
+    if ratios is None or not all(0 < abs(r) < math.inf for r in ratios):
+        raise ValueError("the characters leave the double-precision range "
+                         "at these t values")
     name = kind if not weights else f"{kind}({','.join(str(w) for w in weights)})"
     # growth exponent from the two smallest samples, where the exponentially
     # small corrections to both characters have died off; the slowest

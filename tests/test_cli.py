@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from h3orbifold.cli import main
+from h3orbifold.cli import build_parser, main
 from h3orbifold.qseries import MAX_SERIES_ORDER
 
 
@@ -156,6 +158,13 @@ def test_verify_deterministic_output(capsys):
     ["modular", "--tau=-i"],
     ["char", "--which", "w-free"],
     ["span", "--drop", "omega9(1)"],
+    ["modular", "--tau", "i/10000"],
+    ["modular", "--tau", "10000i", "--quadrature"],
+    ["modular", "--tol=-1"],
+    ["modular", "--tol", "nan"],
+    ["qdim", "--module", "sgn", "--t-list", "1/10000,1/1000"],
+    ["qdim", "--module", "sgn", "--t-list", "1000,2000"],
+    ["qdim", "--module", "sgn", "--t-list", "1/2,1/10,1/10"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_with_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -241,3 +250,84 @@ def test_char_json_is_pinned(capsys, key):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == CHAR_JSON_SHA256[key]
+
+
+# -- exit-code property ---------------------------------------------------------
+
+_RATIONAL = (st.integers(-9, 9).map(str)
+             | st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)))
+_RATIONALS = st.lists(_RATIONAL, max_size=4).map(",".join)
+#: short text over the characters the parsers care about
+_JUNK = st.text(alphabet="0123456789-+*/,.eiabxz() ", max_size=10)
+_FORMAT = st.sampled_from(["text", "json", "xml"])
+
+
+def _argv(verb, required=(), **options):
+    """Strategy for [verb, --opt=value, ...]: each option present or absent,
+    those named in ``required`` always present; a value of True is a bare
+    flag."""
+    parts = []
+    for name, values in options.items():
+        flag = values.map(lambda v, name=name:
+                          [f"--{name}"] if v is True else [f"--{name}={v}"])
+        parts.append(flag if name in required else st.just([]) | flag)
+    return st.tuples(*parts).map(lambda opts: [verb, *sum(opts, [])])
+
+
+#: small draws for every subcommand: weights, orders and sample points stay
+#: small, and the heavy suites (``all``, ``axioms``) are left out, so that no
+#: draw starts long work
+_ARGV = {
+    "verify": _argv("verify", required=("suite",), format=_FORMAT,
+                    seed=st.integers(0, 99).map(str) | _JUNK,
+                    suite=st.sampled_from(["s3-relations", "z3-relations",
+                                           "classical", "primaries", "bogus"])),
+    "span": _argv("span", format=_FORMAT,
+                  group=st.sampled_from(["s3", "z3", "s5"]),
+                  **{"max-weight": st.integers(-1, 4) | st.just(13),
+                     "drop": st.sampled_from(["omega1(0)", "omega2(0,2)",
+                                              "omega23_0(0,1)", "omega3(0,1",
+                                              "omega9(1)"]) | _JUNK}),
+    "dims": _argv("dims", format=_FORMAT,
+                  **{"max-weight": st.integers(-2, 12) | st.just(1001)}),
+    "char": _argv("char", format=_FORMAT, check=st.just(True),
+                  which=st.sampled_from(["s3", "z3", "sgn", "st", "vac", "fock",
+                                         "theta", "sigma", "w-free", "bogus"]),
+                  order=st.integers(-1, 8) | st.just(1001),
+                  weights=_RATIONALS | _JUNK),
+    "qdim": _argv("qdim", format=_FORMAT,
+                  module=st.builds("{}:{}".format,
+                                   st.sampled_from(["fock", "theta", "sigma",
+                                                    "sgn", "st", "orb", "vac",
+                                                    "bogus"]), _RATIONALS)
+                  | st.sampled_from(["sgn", "st"]) | _JUNK,
+                  **{"t-list": _RATIONALS | st.sampled_from(
+                      ["1/10000,1/1000", "1000,2000", "1/2,1/2"]) | _JUNK}),
+    "modular": _argv("modular", format=_FORMAT, quadrature=st.just(True),
+                     tau=st.builds("{}i/{}".format, st.integers(-3, 50),
+                                   st.integers(0, 50))
+                     | st.sampled_from(["i", "1,1", "0,1", "i/10000", "10000i"])
+                     | _JUNK,
+                     tol=st.sampled_from(["1e-9", "1e-3", "1", "0", "-1", "nan",
+                                          "inf", "x"])),
+    "product": _argv("product", format=_FORMAT, n=st.integers(-4, 4).map(str),
+                     **{side: st.sampled_from(["a1(-1)", "a1(-2)a2(-1)", "b2(-1)",
+                                               "1", "z*a3(-1)", "(1/2)*a3(-3)"])
+                        | _JUNK for side in ("u", "v")}),
+    "manifest": _argv("manifest", format=_FORMAT),
+}
+
+
+def test_every_subcommand_has_an_argv_strategy():
+    verbs = next(a.choices for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    assert set(_ARGV) == set(verbs)
+
+
+@pytest.mark.parametrize("verb", list(_ARGV))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_exit_code_is_0_1_or_2(capsys, verb, data):
+    code, _ = run_cli(capsys, *data.draw(_ARGV[verb], label="argv"))
+    assert code in (0, 1, 2)

@@ -193,3 +193,69 @@ def test_product_memo_holds_integers_after_a_span():
     assert _PRODUCT_CACHE
     assert all(type(c) is int
                for terms in _PRODUCT_CACHE.values() for c in terms.values())
+
+
+#: strong-span dims of the paper's generating sets, recorded with the full
+#: closure (every negative mode on every spanning vector); they equal the
+#: invariant dims at every weight
+S3_SPAN_DIMS = [1, 1, 3, 6, 13, 24, 49, 87, 162, 284]
+Z3_SPAN_DIMS = [1, 1, 3, 8, 17, 36, 75, 143, 270, 495, 880]
+
+#: dims with one generator dropped, recorded with the full closure: S3 through
+#: weight 6, Z3 through weight 7.  In 10 of the 16 cases the ordered monomials
+#: of the remaining generators span less than this, so these test the fallback
+#: to the full closure
+DROP_SPAN_DIMS = {
+    ("S3", "omega1(0)"): [1, 0, 1, 2, 4, 7, 14],
+    ("S3", "omega2(0,0)"): [1, 1, 2, 4, 9, 16, 31],
+    ("S3", "omega2(0,2)"): [1, 1, 3, 6, 12, 22, 45],
+    ("S3", "omega2(0,4)"): [1, 1, 3, 6, 13, 24, 48],
+    ("S3", "omega3(0,0,0)"): [1, 1, 3, 5, 11, 19, 38],
+    ("S3", "omega3(0,0,2)"): [1, 1, 3, 6, 13, 23, 47],
+    ("S3", "omega3(0,1,2)"): [1, 1, 3, 6, 13, 24, 48],
+    ("Z3", "omega1_0(0)"): [1, 0, 1, 4, 6, 12, 23, 36],
+    ("Z3", "omega23_0(0,0)"): [1, 1, 2, 6, 12, 24, 49, 93],
+    ("Z3", "omega23_0(0,1)"): [1, 1, 3, 7, 15, 31, 65, 125],
+    ("Z3", "omega23_0(0,2)"): [1, 1, 3, 8, 16, 34, 72, 137],
+    ("Z3", "omega23_0(0,3)"): [1, 1, 3, 8, 17, 35, 74, 141],
+    ("Z3", "omega222_0(0,0,0)"): [1, 1, 3, 7, 15, 31, 63, 119],
+    ("Z3", "omega222_0(0,0,2)"): [1, 1, 3, 8, 17, 35, 74, 141],
+    ("Z3", "omega333_0(0,0,0)"): [1, 1, 3, 7, 15, 31, 63, 119],
+    ("Z3", "omega333_0(0,0,2)"): [1, 1, 3, 8, 17, 35, 74, 141],
+}
+
+
+def _generating_set(group):
+    return S3_GENERATOR_IDS if group == "S3" else Z3_GENERATOR_IDS
+
+
+@pytest.mark.parametrize("group, max_weight",
+                         [("S3", w) for w in range(9)]
+                         + [("Z3", w) for w in range(10)])
+def test_span_dims_are_pinned(group, max_weight):
+    rep = span_dims(_generating_set(group), max_weight, group)
+    pinned = S3_SPAN_DIMS if group == "S3" else Z3_SPAN_DIMS
+    assert list(rep.dims_spanned.values()) == pinned[:max_weight + 1]
+    assert rep.all_matched
+
+
+def test_strong_generation_holds_past_the_freeness_break():
+    # the free character of the S3 generating type first exceeds the
+    # orbifold's at q^9 (criterion 5), that of the Z3 type at q^6; from there
+    # on the generator monomials are dependent
+    rep = span_dims(S3_GENERATOR_IDS, 9, "S3")
+    assert list(rep.dims_spanned.values()) == S3_SPAN_DIMS
+    assert rep.all_matched
+    rep = span_dims(Z3_GENERATOR_IDS, 10, "Z3")
+    assert list(rep.dims_spanned.values()) == Z3_SPAN_DIMS
+    assert rep.all_matched
+
+
+@pytest.mark.parametrize("group, dropped", list(DROP_SPAN_DIMS),
+                         ids=lambda key: str(key))
+def test_single_drop_dims_are_pinned(group, dropped):
+    gens = [g for g in _generating_set(group) if str(g) != dropped]
+    pinned = DROP_SPAN_DIMS[group, dropped]
+    rep = span_dims(gens, len(pinned) - 1, group)
+    assert list(rep.dims_spanned.values()) == pinned
+    assert not rep.all_matched
