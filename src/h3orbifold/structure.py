@@ -7,18 +7,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from .classical import RELATION_TERMS
-from .fock import BETA, FockState, monomial_weight
-from .linalg import Echelon, SolverBasis, det_bareiss
-from .symmetry import GeneratorId, build_generator, gen, generator_weight, is_invariant
-from .vertex import nth_product, translate_power
+from .fock import BETA, FockState
+from .linalg import Echelon, SolverBasis, _integral, _primitive, det_bareiss
+from .symmetry import GeneratorId, build_generator, gen, is_invariant
+from .vertex import _monomial_product, nth_product
 
-#: weight cap used by continuous-integration runs; deeper scans are offline
-DEFAULT_SPAN_CAP = 8
-#: largest weight span_dims (and ``h3orb span`` / ``product``) accepts
-MAX_SPAN_WEIGHT = DEFAULT_SPAN_CAP + 4
+#: largest weight span_dims (and ``h3orb span`` / ``product``) accepts;
+#: ``_label`` needs it at most 15
+MAX_SPAN_WEIGHT = 12
 #: even arguments sampled by det_A_even_polynomial: one more than its degree
 #: needs, so the last sample checks the interpolation
 _DET_A_SAMPLES = 14
@@ -280,6 +278,37 @@ def _target_dims(group: str, max_weight: int) -> dict:
     return {w: int(ch.coefficient(ch.offset + w)) for w in range(max_weight + 1)}
 
 
+def _label(mon, max_weight: int) -> int:
+    """Integer label of a monomial of weight at most max_weight.
+
+    Each mode (level, field) is the base-64 digit 4 * level + field, which
+    lies in 5..63 for levels up to 15 and fields 1..3 and orders modes as
+    tuples do.  The digits, padded on the right with zeros to max_weight of
+    them (a monomial has at most as many modes as its weight), sit below a
+    leading digit holding the weight, and the label is that number negated.
+    Since a zero pad sorts below every digit, as a tuple prefix sorts first,
+    labels are injective and, among monomials of one weight, strictly
+    reverse the tuple order; ``-label >> 6 * max_weight`` is the weight.
+    """
+    code = wt = 0
+    for level, field in mon:
+        code = (code << 6) | (4 * level + field)
+        wt += level
+    return -((wt << 6 * max_weight) | (code << 6 * (max_weight - len(mon))))
+
+
+class _Labels(dict):
+    """Memo monomial -> ``_label(monomial, max_weight)``."""
+
+    def __init__(self, max_weight: int):
+        super().__init__()
+        self.max_weight = max_weight
+
+    def __missing__(self, mon):
+        code = self[mon] = _label(mon, self.max_weight)
+        return code
+
+
 def _close(states, max_weight: int, basis: str, ordered: bool) -> dict:
     """Ranks per weight, up to max_weight, of the span built from the vacuum
     by negative modes of the states: all of them (the strong span), or with
@@ -290,25 +319,57 @@ def _close(states, max_weight: int, basis: str, ordered: bool) -> dict:
     With ``ordered`` set, generator i with mode n is applied to a vector
     tagged (i2, n2) only if i < i2, or i == i2 and n <= n2, so only ordered
     generator monomials are formed.
+
+    The closure runs on integers only, and this changes no rank.  Each state
+    is scaled once to a primitive integer vector by the lcm of its
+    denominators (a Q(z) coefficient raises TypeError), and each product is
+    summed as a dict {monomial: int} from the integer memo of
+    ``_monomial_product``.  Scaling a state by a nonzero rational scales
+    every product formed from it, and every vector formed later from those,
+    by a nonzero rational, so each product spans the same line as in the
+    rational closure.  Each product enters the echelon of its largest
+    weight keyed by ``_label``, an injective relabelling of the coordinates
+    and so a linear isomorphism.  Hence every ``insert`` accepts exactly the
+    products that the rational, monomial-keyed closure accepts, and the
+    queue, the products formed and the rank at each weight are the same.
+    ``Echelon`` pivots on the largest label, which is now the smallest
+    monomial of a homogeneous row.  Rank does not depend on the pivot order;
+    the size of intermediate remainders does (Bareiss, Math. Comp. 1968),
+    and this order keeps them far smaller here than the largest-monomial one.
     """
-    echelons = [Echelon() for _ in range(max_weight + 1)]
-    vac = FockState.vacuum(3, basis)
-    echelons[0].insert(vac.terms)
+    gens = []
+    for s in states:
+        ints = _integral(s.terms)[1]
+        gens.append(_primitive(ints) if ints else ints)
     weights = [s.max_weight() for s in states]
-    queue = [(vac, 0, len(states), 0)]
+    labels = _Labels(max_weight)
+    shift = 6 * max_weight
+    echelons = [Echelon() for _ in range(max_weight + 1)]
+    echelons[0].insert({labels[()]: 1})
+    queue = [({(): 1}, 0, len(gens), 0)]
     while queue:
         x, wx, i2, n2 = queue.pop()
-        for i, (s, ws) in enumerate(zip(states, weights)):
+        for i, (s, ws) in enumerate(zip(gens, weights)):
             if ordered and i > i2:
                 break
             top = n2 if ordered and i == i2 else -1
-            # wt(s_n x) = ws + wx - n - 1 <= max_weight
+            # every monomial of s_n x has weight <= ws + wx - n - 1 <= max_weight
             for n in range(top, ws + wx - max_weight - 2, -1):
-                prod = nth_product(s, n, x)
-                if prod.is_zero():
+                prod: dict = {}
+                for mu, cu in s.items():
+                    for mv, cv in x.items():
+                        c = cu * cv
+                        for mon, cf in _monomial_product(basis, mu, n, mv).items():
+                            val = prod.get(mon, 0) + c * cf
+                            if val:
+                                prod[mon] = val
+                            else:
+                                del prod[mon]
+                if not prod:
                     continue
-                w = prod.max_weight()
-                if w <= max_weight and echelons[w].insert(prod.terms):
+                row = {labels[mon]: c for mon, c in prod.items()}
+                w = -min(row) >> shift   # the largest weight in prod
+                if echelons[w].insert(row):
                     queue.append((prod, w, i, n))
     return {w: e.rank for w, e in enumerate(echelons)}
 
@@ -345,11 +406,15 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
         else:
             raise TypeError(f"generator {g_!r} is neither id nor state")
         states.append(g_)
+    basis = states[0].basis if states else "a"
+    for name, s in zip(names, states):
+        if s.rank != 3 or s.basis != basis:
+            raise ValueError(f"generator {name} has rank {s.rank} and basis "
+                             f"{s.basis!r}, not rank 3 and basis {basis!r}")
     for name, s in zip(names, states):
         if not is_invariant(group, s):
             raise ValueError(f"generator {name} is not {group}-invariant")
 
-    basis = states[0].basis if states else "a"
     target = _target_dims(group, max_weight)
     dims = _close(states, max_weight, basis, ordered=True)
     if dims != target:

@@ -1,16 +1,19 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from h3orbifold.fock import BETA, FockState, enumerate_basis
+from h3orbifold import structure
+from h3orbifold.fock import BETA, FockState, change_basis, enumerate_basis
 from h3orbifold.linalg import Echelon, det_bareiss
-from h3orbifold.structure import (DET_A_PATTERNS, S3_GENERATOR_IDS,
-                                  Z3_GENERATOR_IDS, build_D,
+from h3orbifold.scalars import ZETA
+from h3orbifold.structure import (DET_A_PATTERNS, MAX_SPAN_WEIGHT,
+                                  S3_GENERATOR_IDS, Z3_GENERATOR_IDS, build_D,
                                   check_decomposition,
                                   cubic_family_coefficients, det_A,
                                   det_A_closed_form, det_A_even_polynomial,
                                   det_A_matrix, span_dims)
-from h3orbifold.symmetry import GROUPS, GeneratorId, act, gen
+from h3orbifold.symmetry import GROUPS, GeneratorId, act, build_generator, gen
 from h3orbifold.relations import D3, Tk
 from h3orbifold.vertex import nth_product
 
@@ -195,11 +198,12 @@ def test_product_memo_holds_integers_after_a_span():
                for terms in _PRODUCT_CACHE.values() for c in terms.values())
 
 
-#: strong-span dims of the paper's generating sets, recorded with the full
-#: closure (every negative mode on every spanning vector); they equal the
-#: invariant dims at every weight
-S3_SPAN_DIMS = [1, 1, 3, 6, 13, 24, 49, 87, 162, 284]
-Z3_SPAN_DIMS = [1, 1, 3, 8, 17, 36, 75, 143, 270, 495, 880]
+#: strong-span dims of the paper's generating sets; they equal the invariant
+#: dims at every weight.  Recorded with the full closure (every negative mode
+#: on every spanning vector) through S3 weight 9 and Z3 weight 10, and past
+#: that with the ordered pass, which the Burnside targets certify
+S3_SPAN_DIMS = [1, 1, 3, 6, 13, 24, 49, 87, 162, 284, 499]
+Z3_SPAN_DIMS = [1, 1, 3, 8, 17, 36, 75, 143, 270, 495, 880, 1533, 2626]
 
 #: dims with one generator dropped, recorded with the full closure: S3 through
 #: weight 6, Z3 through weight 7.  In 10 of the 16 cases the ordered monomials
@@ -243,10 +247,10 @@ def test_strong_generation_holds_past_the_freeness_break():
     # the free character of the S3 generating type first exceeds the
     # orbifold's at q^9 (criterion 5), that of the Z3 type at q^6; from there
     # on the generator monomials are dependent
-    rep = span_dims(S3_GENERATOR_IDS, 9, "S3")
+    rep = span_dims(S3_GENERATOR_IDS, 10, "S3")
     assert list(rep.dims_spanned.values()) == S3_SPAN_DIMS
     assert rep.all_matched
-    rep = span_dims(Z3_GENERATOR_IDS, 10, "Z3")
+    rep = span_dims(Z3_GENERATOR_IDS, 12, "Z3")
     assert list(rep.dims_spanned.values()) == Z3_SPAN_DIMS
     assert rep.all_matched
 
@@ -259,3 +263,96 @@ def test_single_drop_dims_are_pinned(group, dropped):
     rep = span_dims(gens, len(pinned) - 1, group)
     assert list(rep.dims_spanned.values()) == pinned
     assert not rep.all_matched
+
+
+def _reference_close(states, max_weight, basis, ordered):
+    """The closure over Q: rational FockState products, echelon rows keyed
+    by monomials; ``structure._close`` must give the same ranks."""
+    echelons = [Echelon() for _ in range(max_weight + 1)]
+    vac = FockState.vacuum(3, basis)
+    echelons[0].insert(vac.terms)
+    weights = [s.max_weight() for s in states]
+    queue = [(vac, 0, len(states), 0)]
+    while queue:
+        x, wx, i2, n2 = queue.pop()
+        for i, (s, ws) in enumerate(zip(states, weights)):
+            if ordered and i > i2:
+                break
+            top = n2 if ordered and i == i2 else -1
+            for n in range(top, ws + wx - max_weight - 2, -1):
+                prod = nth_product(s, n, x)
+                w = prod.max_weight()
+                if not prod.is_zero() and echelons[w].insert(prod.terms):
+                    queue.append((prod, w, i, n))
+    return {w: e.rank for w, e in enumerate(echelons)}
+
+
+@st.composite
+def _generator_families(draw):
+    """(group, scaled generator states, max weight): a random subset of a
+    paper generating set, in random order, each scaled by a random nonzero
+    rational, the S3 set in either basis."""
+    group = draw(st.sampled_from(["S3", "Z3"]))
+    ids = _generating_set(group)
+    picks = draw(st.lists(st.sampled_from(range(len(ids))), unique=True,
+                          max_size=len(ids)))
+    basis = draw(st.sampled_from(["a", BETA])) if group == "S3" else BETA
+    scales = st.fractions(-9, 9, max_denominator=9).filter(bool)
+    states = [change_basis(build_generator(ids[k]), basis).scale(draw(scales))
+              for k in picks]
+    return group, states, draw(st.integers(0, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_families())
+def test_span_dims_equal_the_rational_closure(family):
+    group, states, max_weight = family
+    basis = states[0].basis if states else "a"
+    full = _reference_close(states, max_weight, basis, ordered=False)
+    assert span_dims(states, max_weight, group).dims_spanned == full
+    for ordered in (True, False):
+        assert (structure._close(states, max_weight, basis, ordered)
+                == _reference_close(states, max_weight, basis, ordered))
+
+
+def test_span_forms_the_same_products_as_the_rational_closure():
+    # the memo records every monomial product formed; its size at Z3 weight
+    # 10 is the one the rational, monomial-keyed closure leaves
+    from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
+    clear_product_cache()
+    span_dims(Z3_GENERATOR_IDS, 10, "Z3")
+    assert len(_PRODUCT_CACHE) == 14286
+
+
+def test_labels_are_injective_and_reverse_the_monomial_order():
+    top = MAX_SPAN_WEIGHT
+    seen = set()
+    for w in range(top + 1):
+        monomials = sorted(enumerate_basis(3, w))
+        for max_weight in {w, top}:
+            labels = [structure._label(m, max_weight) for m in monomials]
+            assert all(a > b for a, b in zip(labels, labels[1:])), (w, max_weight)
+            # the weight sits above the mode digits, as _close reads it back
+            assert all(-k >> 6 * max_weight == w for k in labels)
+        seen.update(structure._label(m, top) for m in monomials)
+        assert len(seen) == sum(len(enumerate_basis(3, v)) for v in range(w + 1))
+
+
+def test_span_rejects_mixed_bases_and_ranks_before_any_product(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+    monkeypatch.setattr(structure, "_monomial_product", no_product)
+    omega = build_generator(S3_GENERATOR_IDS[1])
+    with pytest.raises(ValueError, match="basis"):
+        span_dims([S3_GENERATOR_IDS[0], change_basis(omega, BETA)], 3, "S3")
+    rank2 = FockState(2, "a", {((1, 1), (1, 1)): F(1), ((1, 2), (1, 2)): F(1)})
+    with pytest.raises(ValueError, match="rank 2"):
+        span_dims([rank2], 3, "S3")
+
+
+def test_span_rejects_q_z_coefficients():
+    # z * b1(-1) is invariant (b1 is the symmetric combination), but the
+    # span is computed over Q
+    state = FockState(3, BETA, {((1, 1),): ZETA})
+    with pytest.raises(TypeError, match="echelon coefficients must be rational"):
+        span_dims([state], 3, "Z3")
