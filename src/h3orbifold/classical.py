@@ -33,12 +33,12 @@ class CPoly:
         return cls({(): c} if c else {})
 
     def _add(self, mon, c):
-        cur = self.terms.get(mon, Fraction(0))
-        new = cur + c
+        cur = self.terms.get(mon)
+        new = c if cur is None else cur + c
         if new:
             self.terms[mon] = new
-        else:
-            self.terms.pop(mon, None)
+        elif cur is not None:
+            del self.terms[mon]
 
     def __add__(self, other):
         out = CPoly(dict(self.terms))

@@ -379,7 +379,8 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
 
     The strong span C is the closure of the vacuum under all negative modes
     u_n (n <= -1) of the generators, computed weight by weight with exact
-    rank bookkeeping.  Every generator must be invariant under the group.
+    rank bookkeeping.  Every generator must be homogeneous (``_close`` files
+    each product under its largest weight) and invariant under the group.
 
     A first pass closes the vacuum under ordered generator monomials only
     (see ``_close``), the spanning set of a strongly generated vertex
@@ -411,6 +412,8 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
         if s.rank != 3 or s.basis != basis:
             raise ValueError(f"generator {name} has rank {s.rank} and basis "
                              f"{s.basis!r}, not rank 3 and basis {basis!r}")
+        if s.weight() == "mixed":
+            raise ValueError(f"generator {name} has mixed weight")
     for name, s in zip(names, states):
         if not is_invariant(group, s):
             raise ValueError(f"generator {name} is not {group}-invariant")

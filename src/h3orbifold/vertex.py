@@ -1,23 +1,47 @@
 """Vertex-algebra structure on the Fock space: mode products and Virasoro.
 
-The n-th product u_n v is computed by the free-field recursion.  Writing
-u = x_i(-m) u' with m >= 1 (any creation mode of u will do, they commute),
-the field of u is the normally ordered product of the (m-1)-st divided
-derivative of x_i(z) with the field of u', which gives
+The n-th product u_n v is computed in closed form by Wick's theorem (Kac,
+*Vertex Algebras for Beginners*, 3.3).  For a monomial
+u = x_{f_1}(-m_1) ... x_{f_k}(-m_k) |0> the field is the normally ordered
+product
 
-    u_n v = sum_{k<0} C(-k-1, m-1) x_i(k) (u'_{n-k-m} v)
-          + sum_{k>=0} C(-k-1, m-1) u'_{n-k-m} (x_i(k) v),
+    Y(u, z) = :prod_j d^(m_j - 1) x_{f_j}(z):,   d^(p) = (d/dz)^p / p!,
+    d^(m-1) x(z) = sum_k C(-k-1, m-1) x(k) z^(-k-m),
 
-with C the generalized binomial and base case 1_n v = delta_{n,-1} v.  Both
-sums are finite: annihilators above the weight of v act as zero, and
-u'_j v = 0 once j exceeds wt(u') + wt(v) - 1.  On homogeneous inputs
-wt(u_n v) = wt(u) + wt(v) - n - 1.  The recursion is exact over Q / Q(z)
-and needs no OPE tables.
+with C the generalized binomial, and u_n v is the coefficient of z^(-n-1) in
+Y(u, z) v.  In normal order each annihilator x_f(k), k >= 1, acts on v
+itself: it removes a creation mode x_g(-l) of v with l = k and g the pairing
+partner of f (g = f in the "a" basis, ``_BETA_PAIR`` in the "b" basis) and
+contributes the bracket value l; the zero mode kills v.  So every term comes
+from a partial matching sigma of a subset T of the modes of u with modes of
+v that carry the partner field:
+
+* a matched mode (m, f) -> (l, g) takes k = l: the factor C(-l-1, m-1) * l
+  and the power z^(-l-m);
+* an unmatched mode creates, k = -(m + e) with e >= 0 (C(m+e-1, m-1) is 0
+  below that): the mode x_f(-(m+e)), the factor C(m+e-1, m-1) and z^e.
+
+The powers meet z^(-n-1) exactly when the unmatched raises e_j sum to the
+excess
+
+    E = sum_{j in T} (m_j + l_sigma(j)) - n - 1.
+
+So sigma gives nothing if E < 0, or if T is all of u and E != 0; otherwise
+each spread of E over the unmatched modes gives v without the matched modes
+and with x_{f_j}(-(m_j + e_j)) added, times
+
+    prod_{j in T} C(-l_sigma(j)-1, m_j-1) l_sigma(j)
+      * prod_{j not in T} C(m_j+e_j-1, m_j-1),
+
+an integer.  Every term has weight wt(u) + wt(v) - n - 1, so u_n v = 0 once
+n >= wt(u) + wt(v).  The formula is exact over Q / Q(z) and needs no OPE
+tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 from .fock import (_BETA_PAIR, ALPHA, BETA, FockState, Monomial, canonical,
@@ -42,66 +66,71 @@ def _gen_binom(top: int, k: int) -> int:
 
 
 def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> dict:
-    """dict monomial -> int for (u-monomial)_n (v-monomial).
+    """dict monomial -> int for (u-monomial)_n (v-monomial), by Wick's theorem.
 
-    Every coefficient is an integer (binomials times bracket levels), so the
-    memo holds Python ints; ``nth_product`` applies the state coefficients.
+    Each term is a partial matching of the modes of u with modes of v that
+    carry their pairing partner, followed by a spread of the excess E over
+    the unmatched modes of u (see the module docstring).  A repeated mode of
+    v is a single choice, taken by multiplicity: a mode of u matched to it
+    while c copies are still unmatched contributes the factor c, one for
+    each copy it could take.  Every coefficient is an integer, so the memo
+    holds Python ints; ``nth_product`` applies the state coefficients.  No
+    intermediate product is formed, so only the products asked for enter
+    the memo.
     """
     key = (basis, u, n, v)
     hit = _PRODUCT_CACHE.get(key)
     if hit is not None:
         return hit
-
-    if not u:
-        result = {v: 1} if n == -1 else {}
-        _PRODUCT_CACHE[key] = result
-        return result
-
-    (m, field), rest = u[0], u[1:]
-    rest_wt = monomial_weight(rest)
-    v_wt = monomial_weight(v)
     result: dict = {}
-
-    # creation side: k < 0, inner product nonzero only while
-    # n - k - m <= wt(rest) + wt(v) - 1
-    k_lo = n - m - (rest_wt + v_wt - 1)
-    for k in range(-1, k_lo - 1, -1):
-        c = _gen_binom(-k - 1, m - 1)
-        if c == 0:
-            continue
-        inner = _monomial_product(basis, rest, n - k - m, v)
-        if not inner:
-            continue
-        for mon, cf in inner.items():
-            mon2 = canonical(mon + ((-k, field),))
-            val = result.get(mon2, 0) + c * cf
-            if val:
-                result[mon2] = val
+    if n < monomial_weight(u) + monomial_weight(v):
+        # each mode (m, f) of u stays free (None) or contracts a mode (l, g)
+        # of v with g its partner: (mode, its factor, m + l)
+        distinct = dict.fromkeys(v)
+        options = []
+        for m, f in u:
+            partner = _BETA_PAIR[f] if basis == BETA else f
+            options.append([None] + [((l, g), l * _gen_binom(-l - 1, m - 1), m + l)
+                                     for l, g in distinct if g == partner])
+        for sigma in product(*options):
+            coeff = 1
+            excess = -n - 1
+            free = []
+            rest = list(v)
+            for mode_u, pick in zip(u, sigma):
+                if pick is None:
+                    free.append(mode_u)
+                    continue
+                mode, c, levels = pick
+                copies = rest.count(mode)
+                if not copies:
+                    break
+                rest.remove(mode)
+                coeff *= copies * c
+                excess += levels
             else:
-                result.pop(mon2, None)
-
-    # annihilation side: k >= 1 (the zero mode kills everything here).
-    # x_field(k) contracts each copy of the partner mode x_partner(-k) in v
-    # with bracket value k; the copies are equal, so one removal times their
-    # multiplicity gives the whole contraction.
-    partner = _BETA_PAIR[field] if basis == BETA else field
-    for k in range(1, v_wt + 1):
-        mode = (k, partner)
-        mult = v.count(mode)
-        if not mult:
-            continue
-        pos = v.index(mode)
-        c = _gen_binom(-k - 1, m - 1) * mult * k
-        inner = _monomial_product(basis, rest, n - k - m, v[:pos] + v[pos + 1:])
-        for mon, cf in inner.items():
-            val = result.get(mon, 0) + c * cf
-            if val:
-                result[mon] = val
-            else:
-                result.pop(mon, None)
-
+                if excess < 0 or (excess and not free):
+                    continue
+                rest = tuple(rest)
+                for added, c in _spread(free, excess):
+                    mon = canonical(rest + added)
+                    result[mon] = result.get(mon, 0) + coeff * c
+        result = {mon: c for mon, c in result.items() if c}
     _PRODUCT_CACHE[key] = result
     return result
+
+
+def _spread(free: list, excess: int) -> list:
+    """[(modes, coefficient)] for every way of raising the levels m of the
+    modes (m, f) in free by e >= 0 with sum e = excess; each raise adds the
+    factor C(m + e - 1, m - 1)."""
+    parts = [((), 1, excess)]
+    last = len(free) - 1
+    for k, (m, f) in enumerate(free):
+        parts = [(modes + ((m + e, f),), c * comb(m + e - 1, m - 1), left - e)
+                 for modes, c, left in parts
+                 for e in ((left,) if k == last else range(left + 1))]
+    return [(modes, c) for modes, c, _ in parts]
 
 
 def nth_product(u: FockState, n: int, v: FockState,

@@ -316,12 +316,13 @@ def test_span_dims_equal_the_rational_closure(family):
 
 
 def test_span_forms_the_same_products_as_the_rational_closure():
-    # the memo records every monomial product formed; its size at Z3 weight
-    # 10 is the one the rational, monomial-keyed closure leaves
+    # the memo holds exactly the monomial products asked for; its size at
+    # Z3 weight 10 is the one the rational, monomial-keyed closure leaves
+    # (the ordered pass certifies, so only it runs)
     from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
     clear_product_cache()
     span_dims(Z3_GENERATOR_IDS, 10, "Z3")
-    assert len(_PRODUCT_CACHE) == 14286
+    assert len(_PRODUCT_CACHE) == 2151
 
 
 def test_labels_are_injective_and_reverse_the_monomial_order():
@@ -348,6 +349,17 @@ def test_span_rejects_mixed_bases_and_ranks_before_any_product(monkeypatch):
     rank2 = FockState(2, "a", {((1, 1), (1, 1)): F(1), ((1, 2), (1, 2)): F(1)})
     with pytest.raises(ValueError, match="rank 2"):
         span_dims([rank2], 3, "S3")
+
+
+def test_span_rejects_a_mixed_weight_generator_before_any_product(monkeypatch):
+    # omega1(0) + omega2(0,0) is invariant but of weights 1 and 2; _close
+    # files each product under its largest weight, so weight 1 read 0
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+    monkeypatch.setattr(structure, "_monomial_product", no_product)
+    mixed = build_generator(S3_GENERATOR_IDS[0]) + build_generator(S3_GENERATOR_IDS[1])
+    with pytest.raises(ValueError, match="mixed weight"):
+        span_dims([mixed], 5, "S3")
 
 
 def test_span_rejects_q_z_coefficients():

@@ -3,11 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from h3orbifold.fock import ALPHA, BETA, FockState, enumerate_basis
+from h3orbifold.fock import (_BETA_PAIR, ALPHA, BETA, FockState, canonical,
+                             enumerate_basis, monomial_weight)
 from h3orbifold.symmetry import gen
-from h3orbifold.vertex import (check_borcherds, check_skew_symmetry,
-                               conformal_vector, is_primary, nth_product,
-                               translate, translate_power, virasoro_mode)
+from h3orbifold.vertex import (_gen_binom, _monomial_product, check_borcherds,
+                               check_skew_symmetry, conformal_vector,
+                               is_primary, nth_product, translate,
+                               translate_power, virasoro_mode)
 
 
 def mono(modes, coeff=F(1), basis=ALPHA, rank=3):
@@ -196,3 +198,108 @@ def test_generator_products_are_pinned(key):
              for n in range(-3, 4)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PRODUCT_GRID_SHA256[key]
+
+
+def _recursive_product(basis, u, n, v, memo):
+    """Oracle for ``_monomial_product``: the free-field recursion that peels
+    the first mode x_i(-m) off u = x_i(-m) u',
+
+        u_n v = sum_{k<0} C(-k-1, m-1) x_i(k) (u'_{n-k-m} v)
+              + sum_{k>=0} C(-k-1, m-1) u'_{n-k-m} (x_i(k) v),
+
+    with 1_n v = delta_{n,-1} v, memoised in ``memo``."""
+    key = (basis, u, n, v)
+    if key in memo:
+        return memo[key]
+    if not u:
+        memo[key] = {v: 1} if n == -1 else {}
+        return memo[key]
+    (m, field), rest = u[0], u[1:]
+    rest_wt = monomial_weight(rest)
+    v_wt = monomial_weight(v)
+    result = {}
+
+    def add(mon, c):
+        val = result.get(mon, 0) + c
+        if val:
+            result[mon] = val
+        else:
+            result.pop(mon, None)
+
+    # creation side: the inner product vanishes once n - k - m exceeds
+    # wt(rest) + wt(v) - 1
+    for k in range(-1, n - m - (rest_wt + v_wt - 1) - 1, -1):
+        c = _gen_binom(-k - 1, m - 1)
+        for mon, cf in _recursive_product(basis, rest, n - k - m, v, memo).items():
+            add(canonical(mon + ((-k, field),)), c * cf)
+    # annihilation side: x_field(k) contracts each copy of its partner mode
+    partner = _BETA_PAIR[field] if basis == BETA else field
+    for k in range(1, v_wt + 1):
+        mult = v.count((k, partner))
+        if not mult:
+            continue
+        pos = v.index((k, partner))
+        c = _gen_binom(-k - 1, m - 1) * mult * k
+        inner = _recursive_product(basis, rest, n - k - m, v[:pos] + v[pos + 1:], memo)
+        for mon, cf in inner.items():
+            add(mon, c * cf)
+    memo[key] = result
+    return result
+
+
+def _rand_monomial(rng, max_weight):
+    """A random monomial of weight <= max_weight over a few low modes, so
+    that repeated modes are common."""
+    modes = []
+    while True:
+        mode = (rng.randint(1, 3), rng.randint(1, 3))
+        if monomial_weight(modes) + mode[0] > max_weight or rng.random() < 0.2:
+            return canonical(modes)
+        modes.append(mode)
+
+
+def test_wick_kernel_equals_the_recursion():
+    rng = random.Random(11)
+    memo = {}
+    repeated = beyond = 0
+    for _ in range(1500):
+        basis = rng.choice([ALPHA, BETA])
+        u, v = _rand_monomial(rng, 6), _rand_monomial(rng, 8)
+        n = rng.randint(-6, 8)
+        got = _monomial_product(basis, u, n, v)
+        assert got == _recursive_product(basis, u, n, v, memo), (basis, u, n, v)
+        assert all(type(c) is int and c for c in got.values())
+        repeated += len(set(u)) < len(u) and len(set(v)) < len(v)
+        if n >= monomial_weight(u) + monomial_weight(v):
+            beyond += 1
+            assert got == {}
+    assert repeated > 50 and beyond > 50
+
+
+def test_wick_kernel_contracts_repeated_modes_both_ways():
+    # a(-1)^2 |0> is :a(z)a(z):, whose 3-mode contracts both copies of
+    # a(-1) in v, in either order; in the b basis field 2 pairs with 3 only
+    square = ((1, 1), (1, 1))
+    assert _monomial_product("a", square, 3, square) == {(): 2}
+    b2, b3 = ((1, 2), (1, 2)), ((1, 3), (1, 3))
+    assert _monomial_product("b", b2, 3, b3) == {(): 2}
+    assert _monomial_product("b", b2, 3, b2) == {}
+
+
+def test_single_modes_are_creation_and_annihilation():
+    # (x_f(-m)|0>)_{-1} v = x_f(-m) v, and (x_f(-1)|0>)_l v = x_f(l) v
+    assert _monomial_product("a", ((1, 1),), -1, ()) == {((1, 1),): 1}
+    assert _monomial_product("a", ((2, 1),), -1, ((1, 1),)) == {((2, 1), (1, 1)): 1}
+    assert _monomial_product("a", ((1, 1),), 1, ((1, 1),)) == {(): 1}
+    assert _monomial_product("a", ((1, 1),), 2, ((2, 1),)) == {(): 2}
+    assert _monomial_product("a", ((1, 2),), 1, ((1, 1),)) == {}
+    rng = random.Random(12)
+    for _ in range(200):
+        basis = rng.choice([ALPHA, BETA])
+        v = _rand_monomial(rng, 6)
+        state = FockState(3, basis, {v: F(1)})
+        field, level = rng.randint(1, 3), rng.randint(1, 3)
+        assert (_monomial_product(basis, ((level, field),), -1, v)
+                == state.apply_creation(field, level).terms)
+        assert (_monomial_product(basis, ((1, field),), level, v)
+                == state.apply_annihilation(field, level).terms)
