@@ -13,7 +13,10 @@ from itertools import combinations
 
 
 class CPoly:
-    """Sparse multivariate polynomial over Q."""
+    """Sparse multivariate polynomial over Q.
+
+    Integral coefficients are kept as ``int`` and only the others as
+    ``Fraction``; the two compare and print alike."""
 
     __slots__ = ("terms",)
 
@@ -25,11 +28,13 @@ class CPoly:
 
     @classmethod
     def variable(cls, tag, index: int, slot: int) -> "CPoly":
-        return cls({(((tag, index, slot), 1),): Fraction(1)})
+        return cls({(((tag, index, slot), 1),): 1})
 
     @classmethod
     def constant(cls, c) -> "CPoly":
         c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
         return cls({(): c} if c else {})
 
     def _add(self, mon, c):

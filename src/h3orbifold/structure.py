@@ -7,12 +7,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .classical import RELATION_TERMS
 from .fock import BETA, FockState
 from .linalg import Echelon, SolverBasis, _integral, _primitive, det_bareiss
 from .symmetry import GeneratorId, build_generator, gen, is_invariant
-from .vertex import _monomial_product, nth_product
+from .vertex import (_add_into, _monomial_product, _product, _scaled,
+                     _unscaled, nth_product)
 
 #: largest weight span_dims (and ``h3orb span`` / ``product``) accepts;
 #: ``_label`` needs it at most 15
@@ -22,12 +24,17 @@ MAX_SPAN_WEIGHT = 12
 _DET_A_SAMPLES = 14
 
 
-def _nested_product(states) -> FockState:
-    """Right-nested (-1)-products of a list of states."""
-    out = states[-1]
+def _nested_product(states) -> tuple:
+    """(den, re, im) of the right-nested (-1)-products of a list of states
+    of one basis, formed on their scaled forms (``vertex._scaled``): the
+    product is multilinear, so den is the product of their denominators."""
+    basis = states[-1].basis
+    den, *x = _scaled(states[-1])
     for s in reversed(states[:-1]):
-        out = nth_product(s, -1, out)
-    return out
+        d, *y = _scaled(s)
+        den *= d
+        x = _product(basis, y, -1, x)
+    return (den, *x)
 
 
 _D_FAMILY = {"D6_1": ("D6C1", 6), "D6_2": ("D6C2", 6), "D5": ("D5C", 5)}
@@ -45,14 +52,23 @@ def build_D(rel: str, multi_index) -> FockState:
         raise ValueError(f"{rel} takes {arity} indices, got {len(idx)}")
     if any(i < 0 for i in idx):
         raise ValueError("indices must be >= 0")
-    out = FockState(3, BETA)
+    terms = []
     for coeff, factors in RELATION_TERMS[classical_name]:
         states = []
         for k, pos in factors:
             fam = {1: "omega1_0", 2: "omega2_0", 3: "omega3_0"}[k]
             states.append(gen(fam, *(idx[p] for p in pos)))
-        out = out + _nested_product(states).scale(Fraction(coeff))
-    return out
+        den, re, im = _nested_product(states)
+        terms.append((Fraction(coeff, den), re, im))
+    # sum the terms over their common denominator, dividing once per monomial
+    den = lcm(*(c.denominator for c, _, _ in terms))
+    re: dict = {}
+    im: dict = {}
+    for c, tr, ti in terms:
+        k = c.numerator * (den // c.denominator)
+        _add_into(re, tr, k)
+        _add_into(im, ti, k)
+    return _unscaled(3, BETA, den, re, im)
 
 
 # -- decomposition reports ----------------------------------------------------

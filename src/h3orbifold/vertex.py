@@ -36,16 +36,33 @@ and with x_{f_j}(-(m_j + e_j)) added, times
 an integer.  Every term has weight wt(u) + wt(v) - n - 1, so u_n v = 0 once
 n >= wt(u) + wt(v).  The formula is exact over Q / Q(z) and needs no OPE
 tables.
+
+Products, axiom residuals and translations run on integers.  Each state
+is converted once to its scaled form (den, re, im) (``_scaled``): den is the
+lcm of the denominators of its coefficients, and re and im are the
+{monomial: int} dicts of the rational part and the z-part of den * state,
+so im is empty for a rational state.  The n-th product is bilinear, so
+(du u)_n (dv v) = du dv (u_n v), and its parts are integer sums of memo
+values times coefficient products, with z^2 = -1 - z: one product of dicts
+for a rational pair, at most four over Q(z) (``_product``).  Likewise the
+skew-symmetry residual is bilinear and the Borcherds residual trilinear in
+their states, so each is built whole from the scaled states and equals
+du dv (dw) times the residual of u, v (w).  T^k / k! maps integer vectors
+to integer vectors (``_divided_power``).  Dividing by the product of the
+denominators once per output term (``_unscaled``) therefore returns
+exactly the state that ``Fraction`` arithmetic per term gives: a
+``Fraction`` coefficient where the z-part is zero, else a ``Scalar``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, lcm
 
 from .fock import (_BETA_PAIR, ALPHA, BETA, FockState, Monomial, canonical,
                    monomial_weight)
+from .scalars import Scalar
 
 #: memo table for monomial-level products, keyed by (basis, u, n, v)
 _PRODUCT_CACHE: dict = {}
@@ -133,43 +150,115 @@ def _spread(free: list, excess: int) -> list:
     return [(modes, c) for modes, c, _ in parts]
 
 
+def _scaled(state: FockState) -> tuple:
+    """(den, re, im): den the lcm of the denominators of state's rational
+    and z-parts, re and im the {monomial: int} dicts of the rational and
+    z-parts of den * state, without zero entries; im is empty for a
+    rational state."""
+    parts = [(mon, c.a, c.b) if isinstance(c, Scalar) else (mon, c, 0)
+             for mon, c in state.terms.items()]
+    den = lcm(*(x.denominator for _, a, b in parts for x in (a, b)))
+    re = {mon: a.numerator * (den // a.denominator) for mon, a, _ in parts if a}
+    im = {mon: b.numerator * (den // b.denominator) for mon, _, b in parts if b}
+    return den, re, im
+
+
+def _unscaled(rank: int, basis: str, den: int, re: dict, im: dict) -> FockState:
+    """The state (re + z im) / den, one division per term: a ``Fraction``
+    where the z-part is zero, else a ``Scalar``."""
+    out = FockState(rank, basis)
+    terms = out.terms
+    for mon, a in re.items():
+        b = im.get(mon)
+        terms[mon] = (Scalar(Fraction(a, den), Fraction(b, den)) if b
+                      else Fraction(a, den))
+    for mon, b in im.items():
+        if mon not in re:
+            terms[mon] = Scalar(0, Fraction(b, den))
+    return out
+
+
+def _add_into(out: dict, x: dict, k: int) -> None:
+    """out += k * x on {monomial: int} dicts, for k != 0 and x without zero
+    entries; entries of out that become zero are dropped."""
+    for mon, c in x.items():
+        val = out.get(mon, 0) + k * c
+        if val:
+            out[mon] = val
+        else:
+            del out[mon]
+
+
+def _accumulate(out: dict, basis: str, x: dict, n: int, y: dict, k: int) -> None:
+    """out += k * x_n y on {monomial: int} dicts."""
+    for mu, cu in x.items():
+        for mv, cv in y.items():
+            _add_into(out, _monomial_product(basis, mu, n, mv), k * cu * cv)
+
+
+def _product(basis: str, x: tuple, n: int, y: tuple) -> tuple:
+    """(re, im) of x_n y for x = (re, im) and y = (re, im) over Z[z]: the
+    n-th product is bilinear, and z^2 = -1 - z."""
+    (xr, xi), (yr, yi) = x, y
+    re: dict = {}
+    im: dict = {}
+    _accumulate(re, basis, xr, n, yr, 1)
+    if xi or yi:
+        _accumulate(im, basis, xr, n, yi, 1)
+        _accumulate(im, basis, xi, n, yr, 1)
+        if xi and yi:
+            zz: dict = {}
+            _accumulate(zz, basis, xi, n, yi, -1)
+            _add_into(re, zz, 1)
+            _add_into(im, zz, 1)
+    return re, im
+
+
 def nth_product(u: FockState, n: int, v: FockState,
                 weight_cap: int | None = None) -> FockState:
     """The mode product u_n v; exact, any integer n."""
-    if u.rank != v.rank:
-        raise ValueError(f"rank mismatch: {u.rank} vs {v.rank}")
-    if u.basis != v.basis:
-        raise ValueError(f"basis mismatch: {u.basis} vs {v.basis}")
+    u._check_compatible(v)
     if weight_cap is not None and not u.is_zero() and not v.is_zero():
         top = u.max_weight() + v.max_weight() - n - 1
         if top > weight_cap:
             raise ValueError(
                 f"product weight {top} exceeds cap {weight_cap}")
-    out = FockState(u.rank, u.basis)
-    for mu, cu in u.terms.items():
-        for mv, cv in v.terms.items():
-            coeff = cu * cv
-            for mon, cf in _monomial_product(u.basis, mu, n, mv).items():
-                out._add_term(mon, coeff * cf)
-    return out
+    du, *xu = _scaled(u)
+    dv, *xv = _scaled(v)
+    return _unscaled(u.rank, u.basis, du * dv, *_product(u.basis, xu, n, xv))
 
 
-def translate(v: FockState) -> FockState:
-    """Translation operator: the derivation x_i(-m) -> m * x_i(-m-1)."""
-    out = FockState(v.rank, v.basis)
-    for mon, c in v.terms.items():
-        for pos, (lv, fld) in enumerate(mon):
-            bumped = mon[:pos] + ((lv + 1, fld),) + mon[pos + 1:]
-            out._add_term(canonical(bumped), c * lv)
+def _divided_power(x: dict, k: int) -> dict:
+    """T^k / k! on a {monomial: int} dict.
+
+    T is the derivation x_f(-m) -> m x_f(-m-1), so T^k / k! spreads k over
+    the modes of each monomial, a raise e of a mode at level m adding the
+    factor C(m + e - 1, m - 1) (``_spread``): an integer map.  The vacuum
+    has no modes to raise, and T^k |0> = 0 for k >= 1.
+    """
+    out: dict = {}
+    for mon, c in x.items():
+        if mon or not k:
+            for added, f in _spread(list(mon), k):
+                key = canonical(added)
+                val = out.get(key, 0) + c * f
+                if val:
+                    out[key] = val
+                else:
+                    del out[key]
     return out
 
 
 def translate_power(v: FockState, k: int) -> FockState:
-    """T^k(v) / k!, i.e. the state v_{-1-k} |0>."""
-    out = v
-    for _ in range(k):
-        out = translate(out)
-    return out.scale(Fraction(1, factorial(k))) if k else out
+    """T^k(v) / k!, i.e. the state v_{-1-k} |0>, in closed form."""
+    den, re, im = _scaled(v)
+    return _unscaled(v.rank, v.basis, den,
+                     _divided_power(re, k), _divided_power(im, k))
+
+
+def translate(v: FockState) -> FockState:
+    """Translation operator: the derivation x_i(-m) -> m * x_i(-m-1)."""
+    return translate_power(v, 1)
 
 
 def conformal_vector(rank: int, basis: str = ALPHA) -> FockState:
@@ -205,17 +294,22 @@ def check_skew_symmetry(u: FockState, v: FockState, n: int) -> FockState:
 
     Returns the difference; a correct product makes it the zero state.  The
     sum stops at j = wt(u) + wt(v) + 1, past which v_{n+j} u vanishes.
+
+    The residual is bilinear in (u, v), so it is built once from the scaled
+    forms du * u and dv * v (see ``_scaled``) in {monomial: int} dicts, and
+    du * dv * residual(u, v) is divided by du * dv once per term at the end.
     """
-    jmax = u.max_weight() + v.max_weight() + 1
-    total = FockState(u.rank, u.basis)
-    for j in range(0, jmax + 1):
-        term = nth_product(v, n + j, u)
-        if term.is_zero():
-            continue
-        term = translate_power(term, j)
-        sign = Fraction(-1 if (n + j + 1) % 2 else 1)
-        total = total + term.scale(sign)
-    return nth_product(u, n, v) - total
+    u._check_compatible(v)
+    basis = u.basis
+    du, *xu = _scaled(u)
+    dv, *xv = _scaled(v)
+    re, im = _product(basis, xu, n, xv)
+    for j in range(u.max_weight() + v.max_weight() + 2):
+        tr, ti = _product(basis, xv, n + j, xu)
+        sign = -1 if (n + j) % 2 else 1
+        _add_into(re, _divided_power(tr, j), sign)
+        _add_into(im, _divided_power(ti, j), sign)
+    return _unscaled(u.rank, basis, du * dv, re, im)
 
 
 def check_borcherds(u: FockState, v: FockState, w: FockState,
@@ -225,11 +319,28 @@ def check_borcherds(u: FockState, v: FockState, w: FockState,
     sum_i C(p,i) (u_{r+i} v)_{p+q-i} w
       - sum_i (-1)^i C(r,i) [ u_{p+r-i} (v_{q+i} w)
                               - (-1)^r v_{q+r-i} (u_{p+i} w) ]
+
+    Every term is trilinear in (u, v, w), so the residual is built once from
+    the scaled forms du * u, dv * v and dw * w (see ``_scaled``) in
+    {monomial: int} dicts, and du * dv * dw * residual(u, v, w) is divided by
+    du * dv * dw once per term at the end.
     """
+    u._check_compatible(v)
+    v._check_compatible(w)
+    basis = u.basis
     wt_u = u.max_weight()
     wt_v = v.max_weight()
     wt_w = w.max_weight()
-    out = FockState(u.rank, u.basis)
+    du, *xu = _scaled(u)
+    dv, *xv = _scaled(v)
+    dw, *xw = _scaled(w)
+    re: dict = {}
+    im: dict = {}
+
+    def add(x, n, y, k):
+        tr, ti = _product(basis, x, n, y)
+        _add_into(re, tr, k)
+        _add_into(im, ti, k)
 
     i = 0
     while r + i <= wt_u + wt_v - 1:
@@ -237,9 +348,7 @@ def check_borcherds(u: FockState, v: FockState, w: FockState,
         if c == 0 and p >= 0 and i > p:
             break
         if c != 0:
-            uv = nth_product(u, r + i, v)
-            if not uv.is_zero():
-                out = out + nth_product(uv, p + q - i, w).scale(Fraction(c))
+            add(_product(basis, xu, r + i, xv), p + q - i, xw, c)
         i += 1
 
     i = 0
@@ -248,13 +357,8 @@ def check_borcherds(u: FockState, v: FockState, w: FockState,
         if c == 0 and r >= 0 and i > r:
             break
         if c != 0:
-            s = Fraction(-c if i % 2 else c)
-            vw = nth_product(v, q + i, w)
-            if not vw.is_zero():
-                out = out - nth_product(u, p + r - i, vw).scale(s)
-            uw = nth_product(u, p + i, w)
-            if not uw.is_zero():
-                out = out + nth_product(v, q + r - i, uw).scale(
-                    -s if r % 2 else s)
+            s = -c if i % 2 else c
+            add(xu, p + r - i, _product(basis, xv, q + i, xw), -s)
+            add(xv, q + r - i, _product(basis, xu, p + i, xw), -s if r % 2 else s)
         i += 1
-    return out
+    return _unscaled(u.rank, basis, du * dv * dw, re, im)

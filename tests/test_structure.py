@@ -30,6 +30,17 @@ def test_build_D_weights():
         build_D("D9", (0,) * 6)
 
 
+def test_nested_product_divides_by_every_denominator():
+    from h3orbifold.structure import _nested_product
+    from h3orbifold.vertex import _unscaled
+    states = [gen("omega1_0", 1).scale(F(2, 3)),
+              gen("omega2_0", 0, 1).scale(ZETA + F(1, 5)),
+              gen("omega3_0", 0, 0, 1).scale(F(-3, 7))]
+    want = nth_product(states[0], -1, nth_product(states[1], -1, states[2]))
+    got = _unscaled(3, BETA, *_nested_product(states))
+    assert got == want and not got.is_zero()
+
+
 def test_D5_is_pure_cubic():
     for idx in [(0, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 0, 1, 1, 2), (1, 0, 2, 0, 1)]:
         st = build_D("D5", idx)
@@ -77,6 +88,40 @@ def test_det_A_basic_contract():
     m6 = det_A_matrix(6)
     assert m6[2] == m6[4]
     assert det_A(6) == 0
+
+
+#: SHA-256 of str(det_A(a)) for a = 6, 8, ..., 40, one line each, and of
+#: the repr of check_decomposition for each of DECOMPOSITION_CASES, one line
+#: each; recorded before nth_product and build_D worked on scaled integers
+DET_A_SHA256 = "35ecfe3ad4b6eaf22125763a142e8ec468c331f290b3253cfff968be862e1435"
+DECOMPOSITION_SHA256 = "789b168d20b42a6527f7cf91b61e92a61a5b2fb42e765dcc2362439a15109431"
+DECOMPOSITION_CASES = (
+    [("D5", t) for t in [
+        (0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, 2), (0, 0, 0, 0, 3),
+        (0, 0, 0, 0, 4), (0, 0, 0, 0, 5), (0, 0, 0, 1, 1), (0, 0, 0, 1, 2),
+        (0, 0, 0, 1, 3), (0, 0, 0, 1, 4), (0, 0, 0, 2, 2), (0, 0, 0, 2, 3),
+        (0, 0, 1, 1, 1), (0, 0, 1, 1, 2), (0, 0, 1, 1, 3), (0, 0, 1, 2, 2),
+        (0, 1, 1, 1, 1), (0, 1, 1, 1, 2), (1, 1, 1, 1, 1)]]
+    + [(rel, t) for rel in ("D6_1", "D6_2") for t in [
+        (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 2),
+        (0, 0, 0, 0, 0, 3), (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 1, 2),
+        (0, 0, 0, 1, 1, 1)]])
+
+
+def _sha256_lines(lines) -> str:
+    import hashlib
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_det_A_values_are_pinned():
+    assert _sha256_lines(str(det_A(a)) for a in range(6, 41, 2)) == DET_A_SHA256
+
+
+def test_decomposition_reports_are_pinned():
+    assert len(DECOMPOSITION_CASES) == 33
+    assert (_sha256_lines(repr(check_decomposition(rel, idx))
+                          for rel, idx in DECOMPOSITION_CASES)
+            == DECOMPOSITION_SHA256)
 
 
 def test_det_A_even_branch_has_the_quoted_singular_factors():

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from h3orbifold import vertex
 from h3orbifold.fock import (_BETA_PAIR, ALPHA, BETA, FockState, canonical,
                              enumerate_basis, monomial_weight)
+from h3orbifold.scalars import ZETA, Scalar
 from h3orbifold.symmetry import gen
 from h3orbifold.vertex import (_gen_binom, _monomial_product, check_borcherds,
                                check_skew_symmetry, conformal_vector,
@@ -303,3 +307,205 @@ def test_single_modes_are_creation_and_annihilation():
                 == state.apply_creation(field, level).terms)
         assert (_monomial_product(basis, ((1, field),), level, v)
                 == state.apply_annihilation(field, level).terms)
+
+
+# -- the scaled integer path against the Fraction arithmetic it replaced ------
+
+
+def _fraction_product(u, n, v):
+    """Oracle for ``nth_product``: the per-term ``Fraction`` loop it
+    replaced, reading the kernel through the module so a patch applies."""
+    out = FockState(u.rank, u.basis)
+    for mu, cu in u.terms.items():
+        for mv, cv in v.terms.items():
+            coeff = cu * cv
+            for mon, cf in vertex._monomial_product(u.basis, mu, n, mv).items():
+                out._add_term(mon, coeff * cf)
+    return out
+
+
+def _derivation(v):
+    """Oracle for ``translate``: x_i(-m) -> m x_i(-m-1), mode by mode."""
+    out = FockState(v.rank, v.basis)
+    for mon, c in v.terms.items():
+        for pos, (lv, fld) in enumerate(mon):
+            bumped = mon[:pos] + ((lv + 1, fld),) + mon[pos + 1:]
+            out._add_term(canonical(bumped), c * lv)
+    return out
+
+
+def _iterated_translate(v, k):
+    """Oracle for ``translate_power``: k derivations, then 1/k!."""
+    for _ in range(k):
+        v = _derivation(v)
+    return v.scale(F(1, factorial(k)))
+
+
+def _reference_skew(u, v, n):
+    """Oracle for ``check_skew_symmetry``: whole states summed per term."""
+    jmax = u.max_weight() + v.max_weight() + 1
+    total = FockState(u.rank, u.basis)
+    for j in range(0, jmax + 1):
+        term = _fraction_product(v, n + j, u)
+        if term.is_zero():
+            continue
+        term = _iterated_translate(term, j)
+        sign = F(-1 if (n + j + 1) % 2 else 1)
+        total = total + term.scale(sign)
+    return _fraction_product(u, n, v) - total
+
+
+def _reference_borcherds(u, v, w, p, q, r):
+    """Oracle for ``check_borcherds``: whole states summed per term."""
+    wt_u, wt_v, wt_w = u.max_weight(), v.max_weight(), w.max_weight()
+    out = FockState(u.rank, u.basis)
+    i = 0
+    while r + i <= wt_u + wt_v - 1:
+        c = _gen_binom(p, i)
+        if c == 0 and p >= 0 and i > p:
+            break
+        if c != 0:
+            uv = _fraction_product(u, r + i, v)
+            out = out + _fraction_product(uv, p + q - i, w).scale(F(c))
+        i += 1
+    i = 0
+    while q + i <= wt_v + wt_w - 1 or p + i <= wt_u + wt_w - 1:
+        c = _gen_binom(r, i)
+        if c == 0 and r >= 0 and i > r:
+            break
+        if c != 0:
+            s = F(-c if i % 2 else c)
+            vw = _fraction_product(v, q + i, w)
+            out = out - _fraction_product(u, p + r - i, vw).scale(s)
+            uw = _fraction_product(u, p + i, w)
+            out = out + _fraction_product(v, q + r - i, uw).scale(
+                -s if r % 2 else s)
+        i += 1
+    return out
+
+
+def _same_coefficients(got, want):
+    """Equal states whose coefficients have equal types: ``Fraction`` where
+    rational, ``Scalar`` only where the z-part is nonzero."""
+    assert got == want
+    for c in got.terms.values():
+        assert type(c) is F or (type(c) is Scalar and c.b != 0), c
+    assert ({m: type(c) for m, c in got.terms.items()}
+            == {m: type(c) for m, c in want.terms.items()})
+
+
+#: few low modes, so that products of random states collide and cancel
+_MONOMIALS = [m for w in range(4) for m in enumerate_basis(3, w)]
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+_COEFFS = (_RATIONALS.filter(bool)
+           | st.builds(Scalar, _RATIONALS, _RATIONALS).filter(bool))
+
+
+@st.composite
+def _state_pairs(draw):
+    basis = draw(st.sampled_from([ALPHA, BETA]))
+    pool = draw(st.lists(st.sampled_from(_MONOMIALS), min_size=1, max_size=4))
+
+    def state():
+        out = FockState(3, basis)
+        for mon in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)):
+            out._add_term(mon, draw(_COEFFS))
+        return out
+    return state(), draw(st.integers(-3, 3)), state()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_state_pairs())
+def test_nth_product_equals_the_fraction_loop(case):
+    u, n, v = case
+    _same_coefficients(nth_product(u, n, v), _fraction_product(u, n, v))
+
+
+def test_nth_product_cancels_across_rational_and_z_parts():
+    a1, a2 = mono([(1, 1)]), mono([(1, 2)])
+    # rational terms cancel: (a1 + a2)_1 (a1 - a2) = 1 - 1
+    assert nth_product(a1 + a2, 1, a1 - a2).is_zero()
+    # z-parts cancel: (z a1 + a2)_1 (a1 - z a2) = z - z
+    assert nth_product(a1.scale(ZETA) + a2, 1, a1 - a2.scale(ZETA)).is_zero()
+    # z^2 + z = -1 leaves a rational Fraction coefficient
+    got = nth_product(a1.scale(ZETA) + a2, 1, (a1 + a2).scale(ZETA))
+    assert got.terms == {(): F(-1)} and type(got.terms[()]) is F
+    # z * z = -1 - z stays in Q(z)
+    got = nth_product(a1.scale(ZETA), 1, a1.scale(ZETA))
+    assert got.terms == {(): Scalar(-1, -1)}
+
+
+def _wrong_kernel(true_kernel):
+    """A kernel that adds a spurious term, so axiom residuals are nonzero."""
+    def kernel(basis, u, n, v):
+        out = dict(true_kernel(basis, u, n, v))
+        extra = canonical(u + v)
+        val = out.get(extra, 0) + 2 + n * n
+        if val:
+            out[extra] = val
+        else:
+            del out[extra]
+        return out
+    return kernel
+
+
+def _residual_states(rng, basis):
+    """Random states with coefficients over denominators 3 and 5, rational
+    or in Q(z)."""
+    out = FockState(3, basis)
+    for _ in range(rng.randint(1, 3)):
+        mon = rng.choice(enumerate_basis(3, rng.randint(0, 2)))
+        a = F(rng.choice([1, 2, -1, -2]), rng.choice([1, 3, 5]))
+        b = rng.choice([0, 0, F(2, 5), F(-1, 3)])
+        out._add_term(mon, Scalar(a, b))
+    return out
+
+
+def test_axiom_residuals_divide_once(monkeypatch):
+    monkeypatch.setattr(vertex, "_monomial_product",
+                        _wrong_kernel(vertex._monomial_product))
+    rng = random.Random(13)
+    nonzero = qz = 0
+    for _ in range(40):
+        basis = rng.choice([ALPHA, BETA])
+        u, v, w = (_residual_states(rng, basis) for _ in range(3))
+        n = rng.randint(-2, 2)
+        got = check_skew_symmetry(u, v, n)
+        _same_coefficients(got, _reference_skew(u, v, n))
+        p, q, r = (rng.randint(-2, 2) for _ in range(3))
+        got_b = check_borcherds(u, v, w, p, q, r)
+        _same_coefficients(got_b, _reference_borcherds(u, v, w, p, q, r))
+        nonzero += not got.is_zero() and not got_b.is_zero()
+        qz += any(type(c) is Scalar for c in got.terms.values())
+    assert nonzero > 30 and qz > 5
+    # the fixed denominators 1/3 and 2/5 survive the one final division
+    u = mono([(1, 1)], F(1, 3))
+    v = mono([(1, 1)], Scalar(F(2, 5), F(1, 3)))
+    for n in range(-2, 3):
+        _same_coefficients(check_skew_symmetry(u, v, n), _reference_skew(u, v, n))
+        _same_coefficients(check_borcherds(u, v, u, n, 0, 1),
+                           _reference_borcherds(u, v, u, n, 0, 1))
+
+
+def test_divided_powers_are_iterated_translations():
+    rng = random.Random(14)
+    repeated = 0
+    for trial in range(60):
+        basis = rng.choice([ALPHA, BETA])
+        v = FockState(3, basis)
+        for _ in range(rng.randint(1, 3)):
+            mon = _rand_monomial(rng, 5)
+            c = F(rng.randint(-4, 4), rng.randint(1, 3))
+            v._add_term(mon, Scalar(c, rng.choice([0, 0, F(1, 2)])))
+        if trial % 10 == 0:
+            v = v + FockState.vacuum(3, basis)
+        repeated += any(len(set(m)) < len(m) for m in v.terms)
+        assert translate(v) == _derivation(v)
+        for k in range(7):
+            _same_coefficients(translate_power(v, k), _iterated_translate(v, k))
+    assert repeated > 10
+    for basis in (ALPHA, BETA):
+        vac = FockState.vacuum(3, basis)
+        assert translate_power(vac, 0) == vac
+        for k in range(1, 7):
+            assert translate_power(vac, k).is_zero()
