@@ -16,6 +16,7 @@ descending then field ascending; the empty tuple is the vacuum.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Tuple, Union
 
 from .scalars import ZETA, Scalar, parse_scalar
@@ -235,11 +236,18 @@ class FockState:
 def enumerate_basis(rank: int, weight: int) -> list:
     """All rank-colored creation monomials of the given total weight.
 
-    The count is the q^weight coefficient of prod_k (1 - q^k)^(-rank).
+    The count is the q^weight coefficient of prod_k (1 - q^k)^(-rank).  The
+    monomials of each (rank, weight) are enumerated once and memoised as a
+    tuple; every call returns a fresh list, so a caller may mutate it.
     """
     if weight < 0:
         raise ValueError("weight must be >= 0")
-    return list(_enumerate(rank, weight, weight, 1))
+    return list(_basis(rank, weight))
+
+
+@lru_cache(maxsize=None)
+def _basis(rank: int, weight: int) -> tuple:
+    return tuple(_enumerate(rank, weight, weight, 1))
 
 
 def _enumerate(rank: int, remaining: int, max_level: int,

@@ -16,6 +16,13 @@ TWO_PI = 2.0 * math.pi
 
 #: stop infinite products once |q|^n drops below this
 PRODUCT_FLOOR = 1e-30
+#: most factors an eta product may take.  |q| = exp(-2 pi Im tau) nears 1 as
+#: Im tau -> 0, so the count grows without bound; the loop never ends once
+#: |q| rounds to 1, nor when the floor tol * 1e-6 underflows to 0 (|q|^n
+#: stops at the smallest subnormal).  The identity checks overflow below
+#: Im tau ~ 0.001; above it, with a floor no smaller than the smallest normal
+#: float, they need fewer than 4 * 10^5 factors
+MAX_ETA_FACTORS = 10 ** 6
 
 DEFAULT_TOL = 1e-9
 
@@ -28,17 +35,21 @@ def _check_upper_half(tau: complex) -> complex:
 
 
 def eta(tau: complex, tol: float = DEFAULT_TOL) -> complex:
-    """Dedekind eta: q^(1/24) prod (1 - q^n), truncated below the floor."""
+    """Dedekind eta: q^(1/24) prod (1 - q^n), truncated below the floor.
+    Raises OverflowError when the product leaves the finite range or needs
+    more than MAX_ETA_FACTORS factors."""
     tau = _check_upper_half(tau)
     q = cmath.exp(2j * math.pi * tau)
     out = cmath.exp(2j * math.pi * tau / 24)
     qn = q
-    while abs(qn) > min(PRODUCT_FLOOR, tol * 1e-6):
+    for _ in range(MAX_ETA_FACTORS):
+        if abs(qn) <= min(PRODUCT_FLOOR, tol * 1e-6):
+            return out
         out *= (1 - qn)
         qn *= q
         if not (math.isfinite(out.real) and math.isfinite(out.imag)):
             raise OverflowError("eta product left the finite range")
-    return out
+    raise OverflowError(f"eta product needs more than {MAX_ETA_FACTORS} factors")
 
 
 @dataclass

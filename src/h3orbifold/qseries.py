@@ -5,12 +5,20 @@ complete for exponents up to a stated truncation order.  Character formulas
 are products of inverse Pochhammer symbols, each expanded by one integer pass
 of the partition recurrence (``_inverse_product``); graded dimensions come
 from averaging trace series over conjugacy classes.
+
+Coefficients stay Python ints wherever they are integral by construction:
+a series keeps an ``int`` coefficient as an ``int`` and makes a ``Fraction``
+only of any other value.  A class average sums the weighted traces in ints
+and divides once per coefficient.  ``int`` and ``Fraction`` coefficients of
+equal value compare and print alike, so the output does not depend on which
+one a series holds.  The Burnside oracle ``fock_trace_series`` counts fixed
+monomials directly on their (level, field) index tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 DEFAULT_ORDER = 12
 #: largest truncation order the CLI accepts (``dims --max-weight``,
@@ -19,7 +27,9 @@ MAX_SERIES_ORDER = 1000
 
 
 class FracSeries:
-    """sum_k coeffs[k] q^(offset + k/D), truncated at exponent <= order."""
+    """sum_k coeffs[k] q^(offset + k/D), truncated at exponent <= order.
+
+    A coefficient is an ``int`` or a ``Fraction``; zeros are not stored."""
 
     __slots__ = ("D", "offset", "coeffs", "order")
 
@@ -31,9 +41,12 @@ class FracSeries:
         self.order = Fraction(order)
         self.coeffs: dict = {}
         if coeffs:
+            # the largest lattice index k with offset + k/D <= order
+            bound = floor((self.order - self.offset) * D)
             for k, c in coeffs.items():
-                c = Fraction(c)
-                if c and self.offset + Fraction(k, D) <= self.order:
+                if not isinstance(c, (int, Fraction)):
+                    c = Fraction(c)
+                if c and k <= bound:
                     self.coeffs[k] = c
 
     def rebase(self, D: int) -> "FracSeries":
@@ -44,15 +57,16 @@ class FracSeries:
         return FracSeries(D, self.offset,
                           {k * f: c for k, c in self.coeffs.items()}, self.order)
 
-    def coefficient(self, exponent) -> Fraction:
-        """Coefficient of q^exponent (absolute, offset included)."""
+    def coefficient(self, exponent):
+        """Coefficient of q^exponent (absolute, offset included), an int or
+        a Fraction."""
         e = Fraction(exponent)
         if e > self.order:
             raise ValueError(f"exponent {e} beyond truncation {self.order}")
         rel = (e - self.offset) * self.D
         if rel.denominator != 1:
-            return Fraction(0)
-        return self.coeffs.get(int(rel), Fraction(0))
+            return 0
+        return self.coeffs.get(int(rel), 0)
 
     def integer_slice(self, count: int) -> list:
         """Coefficients at offset + 0, offset + 1, ..., offset + count - 1."""
@@ -74,20 +88,21 @@ class FracSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = FracSeries(1, 0, {0: Fraction(other)}, self.order)
+            other = FracSeries(1, 0, {0: other}, self.order)
         D, offset, ca, cb = self._aligned(other)
         order = min(self.order, other.order)
         for k, c in cb.items():
-            ca[k] = ca.get(k, Fraction(0)) + c
+            ca[k] = ca.get(k, 0) + c
         return FracSeries(D, offset, ca, order)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = FracSeries(1, 0, {0: Fraction(other)}, self.order)
+            other = FracSeries(1, 0, {0: other}, self.order)
         return self + other.scale(-1)
 
     def scale(self, c) -> "FracSeries":
-        c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
         out = FracSeries(self.D, self.offset, {}, self.order)
         if c:
             out.coeffs = {k: v * c for k, v in self.coeffs.items()}
@@ -110,7 +125,7 @@ class FracSeries:
                 k = k1 + k2
                 if k > bound:
                     continue
-                coeffs[k] = coeffs.get(k, Fraction(0)) + c1 * c2
+                coeffs[k] = coeffs.get(k, 0) + c1 * c2
         return FracSeries(D, offset, coeffs, order)
 
     def shift(self, delta) -> "FracSeries":
@@ -127,10 +142,9 @@ class FracSeries:
         """Smallest exponent (within both truncations) where the two series
         differ, or None."""
         D, offset, ca, cb = self._aligned(other)
-        order = min(self.order, other.order)
+        bound = floor((min(self.order, other.order) - offset) * D)
         diffs = [k for k in set(ca) | set(cb)
-                 if offset + Fraction(k, D) <= order
-                 and ca.get(k, 0) != cb.get(k, 0)]
+                 if k <= bound and ca.get(k, 0) != cb.get(k, 0)]
         if not diffs:
             return None
         return offset + Fraction(min(diffs), D)
@@ -204,12 +218,18 @@ _CLASS_DATA = {
 
 
 def _class_sum(name: str, order) -> FracSeries:
+    """The weighted class traces of ``_CLASS_DATA[name]``, summed in ints
+    and divided once per coefficient.  Every cycle type of S3 sums to 3, so
+    the traces share their lattice, offset and order."""
     size, classes = _CLASS_DATA[name]
-    out = None
+    total: dict = {}
     for cycle_type, mult in classes:
-        term = burnside_trace(cycle_type, order).scale(mult)
-        out = term if out is None else out + term
-    return out.scale(Fraction(1, size))
+        trace = burnside_trace(cycle_type, order)
+        for k, c in trace.coeffs.items():
+            total[k] = total.get(k, 0) + mult * c
+    return FracSeries(trace.D, trace.offset,
+                      {k: Fraction(t, size) for k, t in total.items()},
+                      trace.order)
 
 
 def orbifold_character(group: str, order=DEFAULT_ORDER) -> FracSeries:
@@ -283,17 +303,26 @@ def w_algebra_free_character(gen_weights, order=DEFAULT_ORDER) -> FracSeries:
 
 
 def fock_trace_series(sigma, max_weight: int) -> FracSeries:
-    """Direct Fock-space trace of a permutation: counts fixed monomials per
-    weight (used as the independent oracle for burnside_trace)."""
-    from .fock import enumerate_basis, FockState
-    from .symmetry import act
+    """Direct Fock-space trace of a permutation of the three fields: the
+    number of creation monomials of each weight that it maps to themselves.
+
+    The independent oracle for ``burnside_trace``: it enumerates every
+    monomial and uses no product formula.  A monomial is a tuple of (level,
+    field) pairs in canonical order, and it is fixed when its image under
+    ``sigma.images`` re-sorts to the monomial itself; the counts are ints.
+    A permutation of size other than 3 raises ValueError."""
+    from .fock import enumerate_basis
+    images = sigma.images
+    if len(images) != 3:
+        raise ValueError(f"permutation of size {len(images)} on rank 3")
     coeffs = {}
     for w in range(max_weight + 1):
         count = 0
         for mon in enumerate_basis(3, w):
-            moved = act(sigma, FockState(3, "a", {mon: Fraction(1)}))
-            if list(moved.terms) == [mon]:
+            # canonical order is level descending, field ascending
+            moved = sorted((-level, images[field - 1]) for level, field in mon)
+            if moved == [(-level, field) for level, field in mon]:
                 count += 1
         if count:
-            coeffs[w] = Fraction(count)
+            coeffs[w] = count
     return FracSeries(1, 0, coeffs, max_weight).shift(Fraction(-3, 24))

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from h3orbifold import cli
 from h3orbifold.cli import build_parser, main
 from h3orbifold.qseries import MAX_SERIES_ORDER
 
@@ -160,6 +161,8 @@ def test_verify_deterministic_output(capsys):
     ["span", "--drop", "omega9(1)"],
     ["modular", "--tau", "i/10000"],
     ["modular", "--tau", "10000i", "--quadrature"],
+    ["modular", "--tau=1e20"],
+    ["modular", "--tau=i/10", "--tol=1e-320"],
     ["modular", "--tol=-1"],
     ["modular", "--tol", "nan"],
     ["qdim", "--module", "sgn", "--t-list", "1/10000,1/1000"],
@@ -250,6 +253,51 @@ def test_char_json_is_pinned(capsys, key):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == CHAR_JSON_SHA256[key]
+
+
+#: (which, weights, order) of every pinned ``char --check --format=json`` call:
+#: every character above at the benchmark's order 200, and the class sums and
+#: the vacuum at small orders and at the CLI's largest order
+CHAR_PIN_CASES = (
+    [(which, weights, 200) for which, weights in CHAR_JSON_SHA256]
+    + [(which, "", order) for which in ("s3", "z3", "sgn", "st", "vac")
+       for order in (0, 1, 6, 12, MAX_SERIES_ORDER)])
+#: SHA-256 over the SHA-256 of each payload, one line per case in order
+CHAR_PIN_SHA256 = "c69ada65c668761f6486c1230a5f7c9b217eb5c35c4d3bcceaf1ab23c0b6c08e"
+
+
+def test_char_payloads_are_pinned(capsys):
+    assert len(CHAR_PIN_CASES) == 56
+    digests = []
+    for which, weights, order in CHAR_PIN_CASES:
+        argv = ["char", f"--which={which}", f"--order={order}", "--check",
+                "--format=json"]
+        if weights:
+            argv.append(f"--weights={weights}")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    combined = hashlib.sha256("\n".join(digests).encode()).hexdigest()
+    assert combined == CHAR_PIN_SHA256
+
+
+def test_char_check_fails_on_a_perturbed_trace(capsys, monkeypatch):
+    real = cli.burnside_trace
+
+    def perturbed(cycle_type, order):
+        series = real(cycle_type, order)
+        if cycle_type == (2, 1):
+            series.coeffs[2] += 1
+        return series
+
+    monkeypatch.setattr(cli, "burnside_trace", perturbed)
+    code, out = run_cli(capsys, "char", "--which=s3", "--order=12", "--check")
+    assert code == 1
+    assert "burnside cross-check: FAIL" in out
+    code, out = run_cli(capsys, "char", "--which=s3", "--order=12", "--check",
+                        "--format=json")
+    assert code == 1
+    assert json.loads(out)["burnside"] is False
 
 
 # -- exit-code property ---------------------------------------------------------

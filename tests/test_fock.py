@@ -83,6 +83,18 @@ def test_enumerate_counts_match_series_oracle():
         assert len(enumerate_basis(2, w)) == series_dim(2, w)
 
 
+def test_enumerate_basis_returns_a_fresh_list():
+    first = enumerate_basis(3, 3)
+    expected = list(first)
+    first.append(((9, 1),))
+    first.reverse()
+    del first[:5]
+    assert enumerate_basis(3, 3) == expected
+    assert enumerate_basis(3, 3) is not enumerate_basis(3, 3)
+    with pytest.raises(ValueError):
+        enumerate_basis(3, -1)
+
+
 def test_enumerate_canonical_unique():
     for w in range(7):
         mons = enumerate_basis(3, w)

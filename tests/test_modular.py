@@ -18,6 +18,14 @@ def test_eta_rejects_lower_half_plane():
         eta(0.5)
 
 
+def test_eta_bounds_its_factor_count():
+    # |q| rounds to 1: the product would never reach the floor
+    with pytest.raises(OverflowError):
+        eta(1e-20j)
+    with pytest.raises(OverflowError):
+        eta(1e-8j)
+
+
 def test_eta_functional_equation():
     for t in (0.3, 0.5, 1.0, 2.0, 3.7, 0.11, 5.0, 0.77, 1.9, 2.71):
         tau = complex(0, t)

@@ -2,11 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from h3orbifold.fock import FockState, enumerate_basis
 from h3orbifold.qseries import (FracSeries, burnside_trace, fock_trace_series,
                                 module_character, orbifold_character,
                                 pochhammer_inv, twist_weight,
                                 w_algebra_free_character)
-from h3orbifold.symmetry import GROUPS
+from h3orbifold.symmetry import GROUPS, Permutation, act
 
 
 def test_pochhammer_examples():
@@ -40,6 +41,63 @@ def test_burnside_matches_direct_fock_traces():
         # depends only on the cycle type
         prev = by_type.setdefault(sigma.cycle_type(), direct)
         assert prev == direct
+
+
+def _act_trace_series(sigma, max_weight):
+    """The oracle as it was written before it counted on index tuples: one
+    FockState per monomial, moved by ``act``."""
+    coeffs = {}
+    for w in range(max_weight + 1):
+        count = 0
+        for mon in enumerate_basis(3, w):
+            moved = act(sigma, FockState(3, "a", {mon: F(1)}))
+            if list(moved.terms) == [mon]:
+                count += 1
+        if count:
+            coeffs[w] = F(count)
+    return FracSeries(1, 0, coeffs, max_weight).shift(F(-3, 24))
+
+
+def test_index_tuple_oracle_equals_the_act_oracle():
+    for sigma in GROUPS["S3"]:
+        for w in range(9):
+            direct = fock_trace_series(sigma, w)
+            expected = _act_trace_series(sigma, w)
+            assert direct == expected, (sigma.images, w)
+            assert direct.to_json() == expected.to_json()
+            assert all(type(c) is int for c in direct.coeffs.values())
+
+
+@pytest.mark.parametrize("images", [(1,), (2, 1), (1, 2, 3, 4), (4, 1, 2, 3)])
+def test_oracle_rejects_a_permutation_not_of_size_3(images):
+    with pytest.raises(ValueError):
+        fock_trace_series(Permutation(images), 4)
+
+
+def test_int_and_fraction_coefficients_are_equal():
+    ints = FracSeries(2, F(-1, 8), {0: 1, 1: -2, 3: 5}, order=4)
+    fracs = FracSeries(2, F(-1, 8), {0: F(1), 1: F(-2), 3: F(5)}, order=4)
+    assert all(type(c) is int for c in ints.coeffs.values())
+    assert all(type(c) is F for c in fracs.coeffs.values())
+    assert ints == fracs and fracs == ints
+    assert ints.first_difference(fracs) is None
+    assert fracs.first_difference(ints) is None
+    assert ints.to_json() == fracs.to_json()
+    other = FracSeries(2, F(-1, 8), {0: 1, 1: F(-3, 2), 3: 5}, order=4)
+    assert ints != other
+    assert ints.first_difference(other) == F(-1, 8) + F(1, 2)
+    # a non-int value becomes a Fraction, a zero is dropped
+    mixed = FracSeries(1, 0, {0: 0.5, 1: 0, 2: F(0)}, order=4)
+    assert mixed.coeffs == {0: F(1, 2)} and type(mixed.coeffs[0]) is F
+
+
+def test_first_difference_ignores_coefficients_past_either_truncation():
+    a = FracSeries(3, F(-1, 8), {0: 1, 6: 2, 7: 4}, order=F(17, 8))
+    assert 7 not in a.coeffs  # -1/8 + 7/3 > 17/8
+    b = FracSeries(3, F(-1, 8), {0: F(1), 6: F(2), 9: F(7)}, order=5)
+    assert a == b  # they differ only at -1/8 + 3, past the truncation of a
+    c = FracSeries(3, F(-1, 8), {0: 1, 6: 3}, order=5)
+    assert a.first_difference(c) == F(-1, 8) + 2
 
 
 def test_products_match_series_multiplication():
