@@ -9,7 +9,8 @@ the diagonalized one.  Monomial keys are sorted tuples of (variable, exponent).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, groupby, product
+from math import lcm
 
 
 class CPoly:
@@ -188,18 +189,96 @@ RELATION_TERMS = {"D6C1": _D6C1_TERMS, "D6C2": _D6C2_TERMS, "D5C": _D5C_TERMS}
 _RELATION_ARITY = {"D6C1": 6, "D6C2": 6, "D5C": 5}
 
 
+def _q0_codes(k: int, slots, base: int) -> tuple:
+    """The monomials of ``q0(k, slots)`` as tuples of variable codes, the
+    variable y_i(m) coded i * base + m; every coefficient of q0 is 1."""
+    if len(slots) != k:
+        raise ValueError(f"expected {k} slots, got {len(slots)}")
+    if min(slots, default=0) < 0:
+        raise ValueError("slots must be >= 0")
+    if k == 1:
+        return ((base + slots[0],),)
+    if k == 2:
+        a, b = slots
+        return ((2 * base + a, 3 * base + b), (3 * base + a, 2 * base + b))
+    if k == 3:
+        a, b, c = slots
+        return ((2 * base + a, 2 * base + b, 2 * base + c),
+                (3 * base + a, 3 * base + b, 3 * base + c))
+    raise ValueError("k must be 1, 2 or 3")
+
+
+def _expand(terms, den: int) -> dict:
+    """{sorted code tuple: int}: den times the sum of the terms, each a
+    (coefficient, factor tables) pair, one entry per pick of one monomial
+    from every table; entries that cancel stay, at zero."""
+    out: dict = {}
+    for coeff, tables in terms:
+        c = coeff.numerator * (den // coeff.denominator)
+        for pick in product(*tables):
+            key = tuple(sorted(chain.from_iterable(pick)))
+            out[key] = out.get(key, 0) + c
+    return out
+
+
 def cpoly_relation(rel: str, multi_index) -> CPoly:
-    """Expand one of the relation families at a multi-index; must be zero."""
+    """Expand one of the relation families at a multi-index; must be zero.
+
+    One integer pass, equal to the sum of the term products
+    ``coeff * q0(...) * ...`` as ``CPoly`` forms it, coefficient types
+    included.  A variable y_i(m) is coded i * base + m with base above every
+    index, an injective code whose integer order is the order of the
+    ``("y", i, m)`` tags.  Each pick of one monomial per factor of a term
+    adds the term's coefficient, scaled by the lcm L of all the
+    coefficients' denominators, at the sorted tuple of its codes.  Only the
+    monomials that survive are decoded and divided by L once.
+
+    Types follow ``CPoly``: a coefficient becomes a ``Fraction`` when a term
+    with a fractional coefficient is added to it, and only a sum that is
+    zero at the end of a term starts over as an ``int``.  So a surviving
+    coefficient is a ``Fraction`` exactly when a fractional term reached it
+    since its sum was last zero at a term's end.  When the integral terms
+    all precede the fractional ones, as in every family, each of the two
+    groups is summed whole: a sum that is nonzero at the end and that a
+    fractional term reached is a ``Fraction`` either way, since only
+    fractional terms follow.  Otherwise each term is merged on its own.
+    """
     terms = RELATION_TERMS.get(rel)
     if terms is None:
         raise ValueError(f"unknown relation family {rel!r}")
     idx = tuple(multi_index)
     if len(idx) != _RELATION_ARITY[rel]:
         raise ValueError(f"{rel} takes {_RELATION_ARITY[rel]} indices")
-    out = CPoly()
+    base = max(idx, default=0) + 1
+    expanded = []
     for coeff, factors in terms:
-        term = CPoly.constant(coeff)
-        for k, pos in factors:
-            term = term * q0(k, tuple(idx[p] for p in pos))
-        out = out + term
+        coeff = Fraction(coeff)
+        tables = [_q0_codes(k, [idx[p] for p in pos], base)
+                  for k, pos in factors]
+        if coeff:
+            expanded.append((coeff, tables))
+    den = lcm(*(c.denominator for c, _ in expanded))
+    kinds = [c.denominator != 1 for c, _ in expanded]   # True: fractional
+    if kinds == sorted(kinds):
+        split = kinds.count(False)
+        runs = [run for run in (expanded[:split], expanded[split:]) if run]
+    else:
+        runs = [[term] for term in expanded]
+    total: dict = {}
+    reached: set = set()   # keys a fractional term reached since last zero
+    for run in runs:
+        fractional = run[0][0].denominator != 1
+        for key, v in _expand(run, den).items():
+            v += total.get(key, 0)
+            total[key] = v
+            if not v:
+                reached.discard(key)
+            elif fractional:
+                reached.add(key)
+    out = CPoly()
+    for key, v in total.items():
+        if v:
+            mon = tuple((("y", *divmod(code, base)), len(list(same)))
+                        for code, same in groupby(key))
+            out.terms[mon] = Fraction(v, den) if key in reached else v // den
     return out

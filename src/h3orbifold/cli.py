@@ -17,8 +17,9 @@ from fractions import Fraction
 
 from . import __version__
 from .fock import DEFAULT_TRUNCATION, enumerate_basis, FockState, parse_state
-from .qseries import (MAX_SERIES_ORDER, burnside_trace, module_character,
-                      orbifold_character, w_algebra_free_character)
+from .qseries import (_CLASS_DATA, MAX_SERIES_ORDER, burnside_trace,
+                      module_character, orbifold_character,
+                      w_algebra_free_character)
 from .modular import check_gauss_identity, qdim_estimate, DEFAULT_TOL
 from .structure import MAX_SPAN_WEIGHT
 
@@ -265,6 +266,13 @@ def _series_payload(series, count=None):
     return data
 
 
+#: the class sums ``char --check`` also recomputes from the direct traces, as
+#: (divisor, ((cycle type, weight), ...)); vac is the identity trace
+_CHECKED_CLASS_SUMS = {"s3": _CLASS_DATA["S3"], "z3": _CLASS_DATA["Z3"],
+                       "sgn": _CLASS_DATA["sgn"], "st": _CLASS_DATA["st"],
+                       "vac": (1, (((1, 1, 1), 1),))}
+
+
 def cmd_char(args, parser):
     try:
         weights = _fractions(args.weights)
@@ -295,11 +303,21 @@ def cmd_char(args, parser):
     if args.check_burnside:
         from .qseries import fock_trace_series
         from .symmetry import GROUPS
+        top = min(order, 6)
         ok = True
+        traces: dict = {}
         for sigma in GROUPS["S3"]:
-            direct = fock_trace_series(sigma, min(order, 6))
-            formula = burnside_trace(sigma.cycle_type(), min(order, 6))
-            if direct != formula:
+            direct = fock_trace_series(sigma, top)
+            if direct != burnside_trace(sigma.cycle_type(), top):
+                ok = False
+            traces.setdefault(sigma.cycle_type(), []).append(direct)
+        if args.which in _CHECKED_CLASS_SUMS:
+            # the printed series against the direct traces, class-averaged
+            size, classes = _CHECKED_CLASS_SUMS[args.which]
+            parts = [direct.scale(Fraction(mult, size * len(traces[cycle_type])))
+                     for cycle_type, mult in classes
+                     for direct in traces[cycle_type]]
+            if series != sum(parts[1:], parts[0]):
                 ok = False
         checks["burnside"] = ok
 

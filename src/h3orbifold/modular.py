@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fock import ALPHA, BETA, FockState
-from .symmetry import GROUPS, act, gen, is_invariant
-from .vertex import is_primary, nth_product, translate_power, virasoro_mode
+from .fock import FockState
+from .symmetry import act, gen, is_invariant
+from .vertex import is_primary, nth_product, translate_power
 
 F = Fraction
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .classical import RELATION_TERMS
@@ -24,14 +25,13 @@ MAX_SPAN_WEIGHT = 12
 _DET_A_SAMPLES = 14
 
 
-def _nested_product(states) -> tuple:
-    """(den, re, im) of the right-nested (-1)-products of a list of states
-    of one basis, formed on their scaled forms (``vertex._scaled``): the
-    product is multilinear, so den is the product of their denominators."""
-    basis = states[-1].basis
-    den, *x = _scaled(states[-1])
-    for s in reversed(states[:-1]):
-        d, *y = _scaled(s)
+def _nested_product(basis: str, forms) -> tuple:
+    """(den, re, im) of the right-nested (-1)-products of states of one
+    basis, given by their scaled forms (``vertex._scaled``): the product is
+    multilinear, so den is the product of their denominators.  The forms
+    are only read, and a single form comes back with its own dicts."""
+    den, *x = forms[-1]
+    for d, *y in reversed(forms[:-1]):
         den *= d
         x = _product(basis, y, -1, x)
     return (den, *x)
@@ -40,9 +40,21 @@ def _nested_product(states) -> tuple:
 _D_FAMILY = {"D6_1": ("D6C1", 6), "D6_2": ("D6C2", 6), "D5": ("D5C", 5)}
 
 
+@lru_cache(maxsize=None)
+def _diagonal_generator(k: int, indices: tuple) -> tuple:
+    """The scaled form (den, re, im) of the diagonal generator
+    omega{k}_0(indices), built once per (k, indices).  Every caller shares
+    the dicts, so none may change them; ``gen`` still builds a fresh state."""
+    return _scaled(gen(f"omega{k}_0", *indices))
+
+
 def build_D(rel: str, multi_index) -> FockState:
     """The decoupling expressions built from (-1)-products of the diagonal
-    generators; same term structure as the classical relations."""
+    generators; same term structure as the classical relations.
+
+    The factors are read from ``_diagonal_generator`` and only read: the
+    nested products and the sum over the terms form new dicts, and the
+    state returned holds no dict of the table."""
     info = _D_FAMILY.get(rel)
     if info is None:
         raise ValueError(f"unknown expression family {rel!r}")
@@ -54,11 +66,9 @@ def build_D(rel: str, multi_index) -> FockState:
         raise ValueError("indices must be >= 0")
     terms = []
     for coeff, factors in RELATION_TERMS[classical_name]:
-        states = []
-        for k, pos in factors:
-            fam = {1: "omega1_0", 2: "omega2_0", 3: "omega3_0"}[k]
-            states.append(gen(fam, *(idx[p] for p in pos)))
-        den, re, im = _nested_product(states)
+        forms = [_diagonal_generator(k, tuple(idx[p] for p in pos))
+                 for k, pos in factors]
+        den, re, im = _nested_product(BETA, forms)
         terms.append((Fraction(coeff, den), re, im))
     # sum the terms over their common denominator, dividing once per monomial
     den = lcm(*(c.denominator for c, _, _ in terms))

@@ -17,7 +17,7 @@ from itertools import permutations as _perms
 
 from .fock import ALPHA, BETA, FockState, canonical
 from .scalars import Scalar
-from .vertex import nth_product, translate_power
+from .vertex import nth_product
 from . import fock as _fock
 
 

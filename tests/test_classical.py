@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from h3orbifold.classical import (CPoly, cpoly_polarization, cpoly_relation,
                                   q0, RELATION_TERMS)
@@ -83,3 +84,86 @@ def test_printed_cubic_tail_defect_is_documented():
     printed_pairings = {tuple(pos for _, pos in factors)
                         for _, factors in printed_tail}
     assert len(printed_pairings & corrected_pairings) == 3
+
+
+def _cpoly_product_relation(terms, idx) -> CPoly:
+    """The relation as a sum of ``q0`` products formed by ``CPoly``: the
+    expansion ``cpoly_relation`` replaces, kept as its oracle."""
+    out = CPoly()
+    for coeff, factors in terms:
+        term = CPoly.constant(coeff)
+        for k, pos in factors:
+            term = term * q0(k, tuple(idx[p] for p in pos))
+        out = out + term
+    return out
+
+
+def _typed(poly: CPoly) -> dict:
+    return {mon: (c, type(c)) for mon, c in poly.terms.items()}
+
+
+_ARITY = {"D5C": 5, "D6C1": 6, "D6C2": 6}
+
+
+@st.composite
+def _perturbed_relations(draw):
+    """(family, terms, multi-index): the family's terms as they are, with
+    one term dropped, one sign flipped, one coefficient moved by 1/2, or
+    the terms rotated so that integral ones follow fractional ones."""
+    rel = draw(st.sampled_from(sorted(_ARITY)))
+    terms = list(RELATION_TERMS[rel])
+    kind = draw(st.sampled_from(["none", "drop", "sign", "half", "rotate"]))
+    t = draw(st.integers(0, len(terms) - 1))
+    coeff, factors = terms[t]
+    if kind == "drop":
+        del terms[t]
+    elif kind == "sign":
+        terms[t] = (-coeff, factors)
+    elif kind == "half":
+        terms[t] = (coeff + draw(st.sampled_from([F(1, 2), F(-1, 2)])), factors)
+    elif kind == "rotate":
+        terms = terms[t:] + terms[:t]
+    idx = tuple(draw(st.lists(st.integers(0, 5), min_size=_ARITY[rel],
+                              max_size=_ARITY[rel])))
+    return rel, terms, idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perturbed_relations())
+def test_relation_expansion_equals_the_cpoly_products(case):
+    rel, terms, idx = case
+    want = _cpoly_product_relation(terms, idx)
+    saved = RELATION_TERMS[rel]
+    RELATION_TERMS[rel] = terms
+    try:
+        got = cpoly_relation(rel, idx)
+    finally:
+        RELATION_TERMS[rel] = saved
+    assert got == want
+    assert repr(got) == repr(want)
+    assert _typed(got) == _typed(want)
+
+
+def test_perturbed_relations_leave_typed_residuals():
+    """The oracle test above sees nonzero residuals of both coefficient
+    types: a D6C2 term dropped leaves half-integers, a D6C1 sign flip
+    integers, and a tail term moved to an integer leaves Fractions of
+    integral value."""
+    d6c1, d6c2 = RELATION_TERMS["D6C1"], RELATION_TERMS["D6C2"]
+    cases = [("D6C2", d6c2[:-1], (0, 1, 2, 3, 4, 5)),
+             ("D6C1", [(-d6c1[0][0], d6c1[0][1])] + d6c1[1:],
+              (0, 1, 2, 3, 4, 5)),
+             ("D6C2", d6c2[:2] + [(F(1), d6c2[2][1])] + d6c2[3:],
+              (0, 0, 1, 1, 2, 2))]
+    kinds = set()
+    for rel, terms, idx in cases:
+        saved = RELATION_TERMS[rel]
+        RELATION_TERMS[rel] = terms
+        try:
+            got = cpoly_relation(rel, idx)
+        finally:
+            RELATION_TERMS[rel] = saved
+        assert not got.is_zero()
+        assert _typed(got) == _typed(_cpoly_product_relation(terms, idx))
+        kinds |= {(type(c), c.denominator) for c in got.terms.values()}
+    assert {(int, 1), (F, 1), (F, 2)} <= kinds

@@ -300,6 +300,51 @@ def test_char_check_fails_on_a_perturbed_trace(capsys, monkeypatch):
     assert json.loads(out)["burnside"] is False
 
 
+
+@pytest.mark.parametrize("which", ["s3", "z3", "sgn", "st", "vac"])
+def test_char_check_fails_on_a_perturbed_printed_series(capsys, monkeypatch,
+                                                        which):
+    def perturbed(real):
+        def character(*args, **kwargs):
+            series = real(*args, **kwargs)
+            k = 2 * series.D   # the coefficient of weight 2
+            series.coeffs[k] = series.coeffs.get(k, 0) + 1
+            return series
+        return character
+
+    monkeypatch.setattr(cli, "orbifold_character",
+                        perturbed(cli.orbifold_character))
+    monkeypatch.setattr(cli, "module_character",
+                        perturbed(cli.module_character))
+    argv = ["char", f"--which={which}", "--order=12", "--check"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert "burnside cross-check: FAIL" in out
+    code, out = run_cli(capsys, *argv, "--format=json")
+    assert code == 1
+    assert json.loads(out)["burnside"] is False
+
+
+def test_verify_reports_a_failing_classical_relation(capsys, monkeypatch):
+    from h3orbifold import classical
+    terms = classical.RELATION_TERMS["D6C2"]
+    monkeypatch.setitem(classical.RELATION_TERMS, "D6C2", terms[:-1])
+    code, out = run_cli(capsys, "verify", "--suite", "classical",
+                        "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["pass"] is False
+    results = {r["id"]: r for r in data["results"]}
+    assert results["D5C"]["pass"] and results["D6C1"]["pass"]
+    failed = results["D6C2"]
+    assert failed["pass"] is False
+    idx = tuple(failed["counterexample"])
+    assert len(idx) == 6
+    assert not classical.cpoly_relation("D6C2", idx).is_zero()
+    code, out = run_cli(capsys, "verify", "--suite", "classical")
+    assert code == 1
+    assert "FAIL  D6C2" in out and "FAILURES PRESENT" in out
+
 # -- exit-code property ---------------------------------------------------------
 
 _RATIONAL = (st.integers(-9, 9).map(str)

@@ -32,14 +32,38 @@ def test_build_D_weights():
 
 def test_nested_product_divides_by_every_denominator():
     from h3orbifold.structure import _nested_product
-    from h3orbifold.vertex import _unscaled
+    from h3orbifold.vertex import _scaled, _unscaled
     states = [gen("omega1_0", 1).scale(F(2, 3)),
               gen("omega2_0", 0, 1).scale(ZETA + F(1, 5)),
               gen("omega3_0", 0, 0, 1).scale(F(-3, 7))]
     want = nth_product(states[0], -1, nth_product(states[1], -1, states[2]))
-    got = _unscaled(3, BETA, *_nested_product(states))
+    forms = [_scaled(s) for s in states]
+    got = _unscaled(3, BETA, *_nested_product(BETA, forms))
     assert got == want and not got.is_zero()
 
+
+
+def test_gen_returns_a_fresh_state():
+    first = gen("omega2_0", 0, 1)
+    want = dict(first.terms)
+    first.terms.clear()
+    first._add_term(((5, 1),), F(7))
+    assert gen("omega2_0", 0, 1).terms == want
+
+
+def test_build_D_states_share_nothing_with_the_generator_table():
+    idx = (0, 0, 1, 2, 2, 3)
+    for rel in ("D6_1", "D6_2"):
+        want = build_D(rel, idx)
+        assert not want.is_zero()
+        copy = dict(want.terms)
+        got = build_D(rel, idx)
+        for mon in list(got.terms):
+            got.terms[mon] *= 3
+        got.terms[((9, 1),)] = F(1)
+        # a generator built by gen and changed does not reach the table
+        gen("omega2_0", 0, 0).terms.clear()
+        assert build_D(rel, idx).terms == copy
 
 def test_D5_is_pure_cubic():
     for idx in [(0, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 0, 1, 1, 2), (1, 0, 2, 0, 1)]:
