@@ -116,27 +116,51 @@ def cpoly_polarization(k: int, slots, rank: int = 3) -> CPoly:
     return out
 
 
-def _y(i: int, m: int) -> CPoly:
-    return CPoly.variable("y", i, m)
+def _q0_codes(k: int, slots, base: int) -> tuple:
+    """The monomials of the diagonalized generator ``q0(k, slots)``, each a
+    tuple of variable codes, y_i(m) coded i * base + m; every coefficient is
+    1.  ``q0`` and ``cpoly_relation`` both read the generators from here."""
+    if len(slots) != k:
+        raise ValueError(f"expected {k} slots, got {len(slots)}")
+    if min(slots, default=0) < 0:
+        raise ValueError("slots must be >= 0")
+    if k == 1:
+        return ((base + slots[0],),)
+    if k == 2:
+        a, b = slots
+        return ((2 * base + a, 3 * base + b), (3 * base + a, 2 * base + b))
+    if k == 3:
+        a, b, c = slots
+        return ((2 * base + a, 2 * base + b, 2 * base + c),
+                (3 * base + a, 3 * base + b, 3 * base + c))
+    raise ValueError("k must be 1, 2 or 3")
+
+
+def _decode(key: tuple, base: int) -> tuple:
+    """The ``CPoly`` monomial of a sorted tuple of variable codes: the run
+    length of each code is its variable's exponent."""
+    return tuple((("y", *divmod(code, base)), len(list(same)))
+                 for code, same in groupby(key))
+
+
+def _expand(c: int, tables) -> dict:
+    """{sorted code tuple: int}: c times the product of the factor tables,
+    one entry per pick of one monomial from every table."""
+    out: dict = {}
+    for pick in product(*tables):
+        key = tuple(sorted(chain.from_iterable(pick)))
+        out[key] = out.get(key, 0) + c
+    return out
 
 
 def q0(k: int, slots) -> CPoly:
     """The diagonalized-family generators q1_0, q2_0, q3_0."""
     slots = tuple(slots)
-    if len(slots) != k:
-        raise ValueError(f"expected {k} slots, got {len(slots)}")
-    if any(m < 0 for m in slots):
-        raise ValueError("slots must be >= 0")
-    if k == 1:
-        return _y(1, slots[0])
-    if k == 2:
-        a, b = slots
-        return _y(2, a) * _y(3, b) + _y(3, a) * _y(2, b)
-    if k == 3:
-        a, b, c = slots
-        return (_y(2, a) * _y(2, b) * _y(2, c)
-                + _y(3, a) * _y(3, b) * _y(3, c))
-    raise ValueError("k must be 1, 2 or 3")
+    base = max(slots, default=0) + 1
+    out = CPoly()
+    for codes in _q0_codes(k, slots, base):
+        out._add(_decode(tuple(sorted(codes)), base), 1)
+    return out
 
 
 # The three relation families among the q's.  Each is a list of
@@ -189,38 +213,6 @@ RELATION_TERMS = {"D6C1": _D6C1_TERMS, "D6C2": _D6C2_TERMS, "D5C": _D5C_TERMS}
 _RELATION_ARITY = {"D6C1": 6, "D6C2": 6, "D5C": 5}
 
 
-def _q0_codes(k: int, slots, base: int) -> tuple:
-    """The monomials of ``q0(k, slots)`` as tuples of variable codes, the
-    variable y_i(m) coded i * base + m; every coefficient of q0 is 1."""
-    if len(slots) != k:
-        raise ValueError(f"expected {k} slots, got {len(slots)}")
-    if min(slots, default=0) < 0:
-        raise ValueError("slots must be >= 0")
-    if k == 1:
-        return ((base + slots[0],),)
-    if k == 2:
-        a, b = slots
-        return ((2 * base + a, 3 * base + b), (3 * base + a, 2 * base + b))
-    if k == 3:
-        a, b, c = slots
-        return ((2 * base + a, 2 * base + b, 2 * base + c),
-                (3 * base + a, 3 * base + b, 3 * base + c))
-    raise ValueError("k must be 1, 2 or 3")
-
-
-def _expand(terms, den: int) -> dict:
-    """{sorted code tuple: int}: den times the sum of the terms, each a
-    (coefficient, factor tables) pair, one entry per pick of one monomial
-    from every table; entries that cancel stay, at zero."""
-    out: dict = {}
-    for coeff, tables in terms:
-        c = coeff.numerator * (den // coeff.denominator)
-        for pick in product(*tables):
-            key = tuple(sorted(chain.from_iterable(pick)))
-            out[key] = out.get(key, 0) + c
-    return out
-
-
 def cpoly_relation(rel: str, multi_index) -> CPoly:
     """Expand one of the relation families at a multi-index; must be zero.
 
@@ -235,13 +227,10 @@ def cpoly_relation(rel: str, multi_index) -> CPoly:
 
     Types follow ``CPoly``: a coefficient becomes a ``Fraction`` when a term
     with a fractional coefficient is added to it, and only a sum that is
-    zero at the end of a term starts over as an ``int``.  So a surviving
-    coefficient is a ``Fraction`` exactly when a fractional term reached it
-    since its sum was last zero at a term's end.  When the integral terms
-    all precede the fractional ones, as in every family, each of the two
-    groups is summed whole: a sum that is nonzero at the end and that a
-    fractional term reached is a ``Fraction`` either way, since only
-    fractional terms follow.  Otherwise each term is merged on its own.
+    zero at the end of a term starts over as an ``int``.  So each term is
+    merged on its own, and a surviving coefficient is a ``Fraction`` exactly
+    when a fractional term reached it since its sum was last zero at a
+    term's end.
     """
     terms = RELATION_TERMS.get(rel)
     if terms is None:
@@ -258,17 +247,12 @@ def cpoly_relation(rel: str, multi_index) -> CPoly:
         if coeff:
             expanded.append((coeff, tables))
     den = lcm(*(c.denominator for c, _ in expanded))
-    kinds = [c.denominator != 1 for c, _ in expanded]   # True: fractional
-    if kinds == sorted(kinds):
-        split = kinds.count(False)
-        runs = [run for run in (expanded[:split], expanded[split:]) if run]
-    else:
-        runs = [[term] for term in expanded]
     total: dict = {}
     reached: set = set()   # keys a fractional term reached since last zero
-    for run in runs:
-        fractional = run[0][0].denominator != 1
-        for key, v in _expand(run, den).items():
+    for coeff, tables in expanded:
+        fractional = coeff.denominator != 1
+        c = coeff.numerator * (den // coeff.denominator)
+        for key, v in _expand(c, tables).items():
             v += total.get(key, 0)
             total[key] = v
             if not v:
@@ -278,7 +262,6 @@ def cpoly_relation(rel: str, multi_index) -> CPoly:
     out = CPoly()
     for key, v in total.items():
         if v:
-            mon = tuple((("y", *divmod(code, base)), len(list(same)))
-                        for code, same in groupby(key))
-            out.terms[mon] = Fraction(v, den) if key in reached else v // den
+            out.terms[_decode(key, base)] = (Fraction(v, den) if key in reached
+                                             else v // den)
     return out

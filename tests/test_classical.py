@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -86,14 +87,38 @@ def test_printed_cubic_tail_defect_is_documented():
     assert len(printed_pairings & corrected_pairings) == 3
 
 
+def _q0_products(k: int, slots) -> CPoly:
+    """The diagonalized generators as ``CPoly`` products of variables: the
+    definition ``q0`` had before it was read from a code table."""
+    y = lambda i, m: CPoly.variable("y", i, m)
+    if k == 1:
+        return y(1, slots[0])
+    if k == 2:
+        a, b = slots
+        return y(2, a) * y(3, b) + y(3, a) * y(2, b)
+    a, b, c = slots
+    return y(2, a) * y(2, b) * y(2, c) + y(3, a) * y(3, b) * y(3, c)
+
+
+def test_q0_equals_the_variable_products():
+    for k in (1, 2, 3):
+        for slots in itertools.product(range(4), repeat=k):
+            assert _typed(q0(k, slots)) == _typed(_q0_products(k, slots))
+            assert repr(q0(k, list(slots))) == repr(_q0_products(k, slots))
+    for k, slots in [(2, (0,)), (1, (-1,)), (3, (0, -2, 1)), (4, (0,) * 4),
+                     (0, ())]:
+        with pytest.raises(ValueError):
+            q0(k, slots)
+
+
 def _cpoly_product_relation(terms, idx) -> CPoly:
-    """The relation as a sum of ``q0`` products formed by ``CPoly``: the
+    """The relation as a sum of generator products formed by ``CPoly``: the
     expansion ``cpoly_relation`` replaces, kept as its oracle."""
     out = CPoly()
     for coeff, factors in terms:
         term = CPoly.constant(coeff)
         for k, pos in factors:
-            term = term * q0(k, tuple(idx[p] for p in pos))
+            term = term * _q0_products(k, tuple(idx[p] for p in pos))
         out = out + term
     return out
 
