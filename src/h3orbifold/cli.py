@@ -319,6 +319,11 @@ def cmd_char(args, parser):
                      for direct in traces[cycle_type]]
             if series != sum(parts[1:], parts[0]):
                 ok = False
+        elif args.which == "fock":
+            # the untwisted module is the identity trace shifted by |w|^2/2
+            shift = sum(Fraction(w) ** 2 for w in weights) / 2
+            if series != traces[(1, 1, 1)][0].shift(shift):
+                ok = False
         checks["burnside"] = ok
 
     payload = {"schema": SCHEMA, "command": "char", "which": args.which,

@@ -50,12 +50,11 @@ class Echelon:
     def __init__(self):
         self.rows: dict = {}   # pivot label -> primitive integer row
 
-    def _eliminate(self, vec: dict):
-        """(remainder, steps) for an integer vector, which it consumes: vec
-        reduced against the stored rows until its leading label has no row,
-        and the (pivot, a, b) of each step vec <- a * vec - b * row."""
+    def _eliminate(self, vec: dict) -> dict:
+        """The remainder of an integer vector, which it consumes: vec reduced
+        by steps vec <- a * vec - b * row against the stored rows until its
+        leading label has no row."""
         rows = self.rows
-        steps = []
         while vec:
             pivot = max(vec)
             row = rows.get(pivot)
@@ -72,14 +71,13 @@ class Echelon:
                     vec[k] = new
                 else:
                     del vec[k]
-            steps.append((pivot, a, b))
-        return vec, steps
+        return vec
 
     def reduce(self, vec: dict) -> dict:
         """Remainder of vec after elimination against the stored rows, up to
         a nonzero scalar: {} if vec lies in the span, else a primitive
         integer vector with a positive leading coefficient."""
-        rem = self._eliminate(_integral(vec)[1])[0]
+        rem = self._eliminate(_integral(vec)[1])
         return _primitive(rem) if rem else rem
 
     def insert(self, vec: dict) -> bool:
@@ -95,51 +93,59 @@ class Echelon:
         return len(self.rows)
 
 
-class SolverBasis(Echelon):
-    """Echelon that also remembers each row's coordinates in the inserted
-    vectors (numbered 0, 1, ... in insertion order)."""
+class SolverBasis:
+    """Independent vectors over Q, numbered 0, 1, ... in insertion order,
+    that can express a target in their span: the augmented-matrix solve.
+
+    Every vector is tagged before elimination: each of its labels k becomes
+    (1, k), and inserted vector i gains the coordinate (0, i) with
+    coefficient 1, the target of ``solve`` the coordinate (0, -1).  The
+    tagged vectors go through one ``Echelon``.  Tags sort below every real
+    label, so a vector is reduced only while its leading label is real, and
+    every pivot is real.
+
+    Soundness.  Write T_j = (v_j, e_j) for tagged vector j, v_j its real
+    part and e_j the unit vector at (0, j).  Elimination only adds multiples
+    of stored rows, and clearing denominators or taking the primitive form
+    scales a whole vector, so every remainder and every stored row is a
+    combination sum_j g_j T_j; as the tags are distinct unit vectors, its
+    coordinate at (0, j) is exactly g_j.  By induction each stored row
+    combines accepted vectors only.  Vector i leaves elimination as
+    r = c T_i + (rows), c != 0, since no row holds its tag.  If r keeps a
+    real label, its leading label is real and is no pivot, while every row
+    leads with its own real pivot; so v_i is outside the span of the rows,
+    which is the span of the accepted vectors, and it is stored.  Otherwise
+    the real part of r vanishes and v_i lies in that span.  So the accepted
+    vectors are independent.  The target t leaves elimination as
+    r = c (t, e_-1) + sum_j g_j T_j over accepted j, with c = r[(0, -1)]
+    != 0.  If r holds only tags, c t + sum_j g_j v_j = 0, so
+    t = sum_j (-r[(0, j)] / r[(0, -1)]) v_j: a ratio that no scaling of r
+    changes, and the unique coordinates of t over the independent accepted
+    vectors.  If r keeps a real label, t is outside their span.
+    """
 
     def __init__(self):
-        super().__init__()
-        self.coords: dict = {}      # pivot label -> coordinates of its row
+        self._echelon = Echelon()   # rows of tagged vectors
         self.n_inserted = 0
 
-    def _combine(self, steps):
-        """(combo, scale) for the steps of one elimination of vec: scale is
-        the product of the step multipliers a, and vec equals
-        remainder / scale + sum f * row, where each step's f is its b over
-        the product of the multipliers up to and including it; combo holds
-        that sum in the coordinates of the inserted vectors."""
-        combo: dict = {}
-        scale = 1
-        for pivot, a, b in steps:
-            scale *= a
-            f = Fraction(b, scale)
-            for k, v in self.coords[pivot].items():
-                new = combo.get(k, 0) + f * v
-                if new:
-                    combo[k] = new
-                else:
-                    del combo[k]
-        return combo, scale
+    @property
+    def rank(self) -> int:
+        return self._echelon.rank
+
+    def _remainder(self, vec: dict, tag: int) -> dict:
+        """The remainder of vec tagged (0, tag), as an integer vector."""
+        tagged = {(1, k): v for k, v in vec.items()}
+        tagged[(0, tag)] = 1
+        return self._echelon._eliminate(_integral(tagged)[1])
 
     def insert(self, vec: dict) -> bool:
-        index = self.n_inserted
+        """Store vec; True if it is independent of the vectors before it."""
+        rem = self._remainder(vec, self.n_inserted)
         self.n_inserted += 1
-        den, ints = _integral(vec)
-        rem, steps = self._eliminate(ints)
-        if not rem:
+        pivot = max(rem)
+        if pivot[0] == 0:
             return False
-        row = _primitive(rem)
-        pivot = max(row)
-        combo, scale = self._combine(steps)
-        # rem = scale * (den * vec - combo) and row = rem * row[p] / rem[p]
-        lam = Fraction(row[pivot], rem[pivot]) * scale
-        coords = {index: lam * den}
-        for k, v in combo.items():
-            coords[k] = -lam * v
-        self.rows[pivot] = row
-        self.coords[pivot] = coords
+        self._echelon.rows[pivot] = _primitive(rem)
         return True
 
     def solve(self, target: dict):
@@ -148,12 +154,11 @@ class SolverBasis(Echelon):
         Returns a dict {insertion index: Fraction}, without zero entries; the
         accepted vectors are independent, so the coordinates are unique.
         """
-        den, ints = _integral(target)
-        rem, steps = self._eliminate(ints)
-        if rem:
+        rem = self._remainder(target, -1)
+        if max(rem)[0] == 1:
             return None
-        combo = self._combine(steps)[0]
-        return {k: v / den for k, v in combo.items()} if den != 1 else combo
+        c = rem.pop((0, -1))
+        return {j: Fraction(-v, c) for (_, j), v in rem.items()}
 
 
 def det_bareiss(matrix) -> Fraction:

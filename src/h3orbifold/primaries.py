@@ -13,17 +13,11 @@ from fractions import Fraction
 
 from .fock import FockState
 from .symmetry import act, gen, is_invariant
-from .vertex import is_primary, nth_product, translate_power
+from .vertex import is_primary
+from .vertex import nth_product as P
+from .vertex import translate_power as Tk
 
 F = Fraction
-
-
-def P(u, n, v):
-    return nth_product(u, n, v)
-
-
-def Tk(v, k):
-    return translate_power(v, k)
 
 
 def s3_primary_vectors() -> dict:

@@ -23,16 +23,8 @@ from math import comb
 from .fock import BETA, FockState
 from .structure import build_D, cubic_family_coefficients
 from .symmetry import gen
-from .vertex import nth_product, translate_power
-
-
-def P(u: FockState, n: int, v: FockState) -> FockState:
-    return nth_product(u, n, v)
-
-
-def Tk(v: FockState, k: int) -> FockState:
-    """v_{-1-k} |0> = T^k v / k!."""
-    return translate_power(v, k)
+from .vertex import nth_product as P
+from .vertex import translate_power as Tk   # v_{-1-k} |0> = T^k v / k!
 
 
 def w1(a):
@@ -53,10 +45,6 @@ def w23(a, b):
 
 def w222(a, b, c):
     return gen("omega222_0", a, b, c)
-
-
-def w333(a, b, c):
-    return gen("omega333_0", a, b, c)
 
 
 def _combine(terms) -> FockState:

@@ -14,8 +14,7 @@ from .classical import RELATION_TERMS
 from .fock import BETA, FockState
 from .linalg import Echelon, SolverBasis, _integral, _primitive, det_bareiss
 from .symmetry import GeneratorId, build_generator, gen, is_invariant
-from .vertex import (_add_into, _monomial_product, _product, _scaled,
-                     _unscaled, nth_product)
+from .vertex import _accumulate, _add_into, _product, _scaled, _unscaled
 
 #: largest weight span_dims (and ``h3orb span`` / ``product``) accepts;
 #: ``_label`` needs it at most 15
@@ -121,6 +120,9 @@ def check_decomposition(rel: str, multi_index) -> DecompositionReport:
     idx = tuple(multi_index)
     total = sum(idx)
     report = DecompositionReport(rel, idx, ok=False)
+    # the omega2_0 and omega3_0 generators have every coefficient 1, so
+    # their scaled forms (den, re, im) have den 1: re is the state itself,
+    # and the re of a product of two such forms is the product itself
 
     if rel == "D5":
         # six-mode terms must already cancel; the rest reads off directly
@@ -129,37 +131,27 @@ def check_decomposition(rel: str, multi_index) -> DecompositionReport:
                 report.residual_monomials += 1
         if report.residual_monomials:
             return report
+        cubic = _triples_summing(total + 2)
         sb = SolverBasis()
-        labels = []
-        for t in _triples_summing(total + 2):
-            sb.insert(gen("omega3_0", *t).terms)
-            labels.append(t)
+        for t in cubic:
+            sb.insert(_diagonal_generator(3, t)[1])
         coords = sb.solve(state.terms)
         if coords is None:
             return report
-        report.cubic = {labels[k]: v for k, v in coords.items()}
+        report.cubic = {cubic[k]: v for k, v in coords.items()}
         report.ok = True
         return report
 
+    quadratic = _pairs_summing(total + 4)
+    pairs = [(a, b) for a in range(total + 3) for b in range(a, total + 3)]
+    quartic = [(p, q) for i, p in enumerate(pairs) for q in pairs[i:]
+               if sum(p) + sum(q) == total + 2]
     sb = SolverBasis()
-    labels = []
-    for a, b in _pairs_summing(total + 4):
-        sb.insert(gen("omega2_0", a, b).terms)
-        labels.append(("quadratic", (a, b)))
-    seen = set()
-    for a in range(total + 3):
-        for b in range(a, total + 3):
-            for c in range(total + 3):
-                for d in range(c, total + 3):
-                    if a + b + c + d != total + 2:
-                        continue
-                    if ((a, b), (c, d)) in seen or ((c, d), (a, b)) in seen:
-                        continue
-                    seen.add(((a, b), (c, d)))
-                    prod = nth_product(gen("omega2_0", a, b), -1,
-                                       gen("omega2_0", c, d))
-                    sb.insert(prod.terms)
-                    labels.append(("quartic", ((a, b), (c, d))))
+    for p in quadratic:
+        sb.insert(_diagonal_generator(2, p)[1])
+    for p, q in quartic:
+        x, y = (_diagonal_generator(2, r)[1:] for r in (p, q))
+        sb.insert(_product(BETA, x, -1, y)[0])
     coords = sb.solve(state.terms)
     if coords is None:
         for mon in state.terms:
@@ -167,11 +159,10 @@ def check_decomposition(rel: str, multi_index) -> DecompositionReport:
                 report.residual_monomials += 1
         return report
     for k, v in coords.items():
-        kind, key = labels[k]
-        if kind == "quadratic":
-            report.quadratic[key] = v
+        if k < len(quadratic):
+            report.quadratic[quadratic[k]] = v
         else:
-            report.quartic[key] = v
+            report.quartic[quartic[k - len(quadratic)]] = v
     report.ok = True
     return report
 
@@ -350,10 +341,10 @@ def _close(states, max_weight: int, basis: str, ordered: bool) -> dict:
     is scaled once to a primitive integer vector by the lcm of its
     denominators (a Q(z) coefficient raises TypeError), and each product is
     summed as a dict {monomial: int} from the integer memo of
-    ``_monomial_product``.  Scaling a state by a nonzero rational scales
-    every product formed from it, and every vector formed later from those,
-    by a nonzero rational, so each product spans the same line as in the
-    rational closure.  Each product enters the echelon of its largest
+    ``_monomial_product`` (``vertex._accumulate``).  Scaling a state by a
+    nonzero rational scales every product formed from it, and every vector
+    formed later from those, by a nonzero rational, so each product spans
+    the same line as in the rational closure.  Each product enters the echelon of its largest
     weight keyed by ``_label``, an injective relabelling of the coordinates
     and so a linear isomorphism.  Hence every ``insert`` accepts exactly the
     products that the rational, monomial-keyed closure accepts, and the
@@ -382,15 +373,7 @@ def _close(states, max_weight: int, basis: str, ordered: bool) -> dict:
             # every monomial of s_n x has weight <= ws + wx - n - 1 <= max_weight
             for n in range(top, ws + wx - max_weight - 2, -1):
                 prod: dict = {}
-                for mu, cu in s.items():
-                    for mv, cv in x.items():
-                        c = cu * cv
-                        for mon, cf in _monomial_product(basis, mu, n, mv).items():
-                            val = prod.get(mon, 0) + c * cf
-                            if val:
-                                prod[mon] = val
-                            else:
-                                del prod[mon]
+                _accumulate(prod, basis, s, n, x, 1)
                 if not prod:
                     continue
                 row = {labels[mon]: c for mon, c in prod.items()}

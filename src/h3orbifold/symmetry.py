@@ -213,49 +213,6 @@ def gen(family: str, *indices: int) -> FockState:
     return build_generator(GeneratorId(family, tuple(indices)))
 
 
-def power_of_three_ratio(lhs: FockState, rhs: FockState):
-    """If lhs == 3^k * rhs for a single integer k, return k, else None.
-
-    The stored diagonal-basis normalization absorbs one factor of sqrt(3) per
-    mode, so a convention slip in a cross-basis identity shows up as a global
-    integral power of 3.  Checks should report that factor instead of
-    silently rescaling.
-    """
-    if lhs.rank != rhs.rank or lhs.basis != rhs.basis:
-        return None
-    if lhs.is_zero() and rhs.is_zero():
-        return 0
-    if lhs.is_zero() or rhs.is_zero():
-        return None
-    if set(lhs.terms) != set(rhs.terms):
-        return None
-    ratios = set()
-    for mon, c in lhs.terms.items():
-        d = rhs.terms[mon]
-        if isinstance(c, Scalar) or isinstance(d, Scalar):
-            c = c if isinstance(c, Scalar) else Scalar(c)
-            d = d if isinstance(d, Scalar) else Scalar(d)
-            ratio = c * d.inverse()
-            if not ratio.is_rational():
-                return None
-            ratio = ratio.as_rational()
-        else:
-            ratio = c / d
-        ratios.add(ratio)
-        if len(ratios) > 1:
-            return None
-    ratio = ratios.pop()
-    if ratio <= 0:
-        return None
-    num, den = ratio.numerator, ratio.denominator
-    for k in range(0, 64):
-        if num == 3 ** k and den == 1:
-            return k
-        if den == 3 ** k and num == 1:
-            return -k
-    return None
-
-
 def verify_generator_translation(a: int, b: int = None, c: int = None) -> FockState:
     """Residual of the bridge between the two generator families.
 

@@ -301,7 +301,9 @@ def test_char_check_fails_on_a_perturbed_trace(capsys, monkeypatch):
 
 
 
-@pytest.mark.parametrize("which", ["s3", "z3", "sgn", "st", "vac"])
+@pytest.mark.parametrize("which", [
+    "s3", "z3", "sgn", "st", "vac", "fock",
+    pytest.param("fock --weights=1/2,1/3,1/4", id="fock-weights")])
 def test_char_check_fails_on_a_perturbed_printed_series(capsys, monkeypatch,
                                                         which):
     def perturbed(real):
@@ -316,7 +318,8 @@ def test_char_check_fails_on_a_perturbed_printed_series(capsys, monkeypatch,
                         perturbed(cli.orbifold_character))
     monkeypatch.setattr(cli, "module_character",
                         perturbed(cli.module_character))
-    argv = ["char", f"--which={which}", "--order=12", "--check"]
+    which, *extra = which.split()
+    argv = ["char", f"--which={which}", *extra, "--order=12", "--check"]
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert "burnside cross-check: FAIL" in out

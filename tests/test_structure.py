@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from h3orbifold import structure
+from h3orbifold import structure, vertex
 from h3orbifold.fock import BETA, FockState, change_basis, enumerate_basis
 from h3orbifold.linalg import Echelon, det_bareiss
 from h3orbifold.scalars import ZETA
@@ -146,6 +146,30 @@ def test_decomposition_reports_are_pinned():
     assert (_sha256_lines(repr(check_decomposition(rel, idx))
                           for rel, idx in DECOMPOSITION_CASES)
             == DECOMPOSITION_SHA256)
+
+
+@pytest.mark.parametrize("rel, idx", [("D5", (0, 0, 1, 1, 2)),
+                                      ("D6_1", (0, 0, 0, 0, 1, 2)),
+                                      ("D6_2", (0, 0, 0, 1, 1, 1))])
+def test_warm_decomposition_builds_no_generator_and_no_state_product(rel, idx):
+    """Once the generator table holds what a decomposition needs, a second
+    call reads every generator and quartic product from the scaled forms."""
+    import sys
+    counted = {build_generator.__code__, nth_product.__code__}
+    check_decomposition(rel, idx)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        report = check_decomposition(rel, idx)
+    finally:
+        sys.setprofile(None)
+    assert report.ok
+    assert calls == []
 
 
 def test_det_A_even_branch_has_the_quoted_singular_factors():
@@ -411,7 +435,7 @@ def test_labels_are_injective_and_reverse_the_monomial_order():
 def test_span_rejects_mixed_bases_and_ranks_before_any_product(monkeypatch):
     def no_product(*args):
         raise AssertionError("a product was formed")
-    monkeypatch.setattr(structure, "_monomial_product", no_product)
+    monkeypatch.setattr(vertex, "_monomial_product", no_product)
     omega = build_generator(S3_GENERATOR_IDS[1])
     with pytest.raises(ValueError, match="basis"):
         span_dims([S3_GENERATOR_IDS[0], change_basis(omega, BETA)], 3, "S3")
@@ -425,7 +449,7 @@ def test_span_rejects_a_mixed_weight_generator_before_any_product(monkeypatch):
     # files each product under its largest weight, so weight 1 read 0
     def no_product(*args):
         raise AssertionError("a product was formed")
-    monkeypatch.setattr(structure, "_monomial_product", no_product)
+    monkeypatch.setattr(vertex, "_monomial_product", no_product)
     mixed = build_generator(S3_GENERATOR_IDS[0]) + build_generator(S3_GENERATOR_IDS[1])
     with pytest.raises(ValueError, match="mixed weight"):
         span_dims([mixed], 5, "S3")

@@ -155,17 +155,3 @@ def test_generator_translation_squared_form():
         rhs = change_basis(
             nth_product(gen("omega1_0", a), -1, gen("omega1_0", b)), ALPHA)
         assert lhs == rhs.scale(3)
-
-
-def test_power_of_three_discrepancy_reporting():
-    from h3orbifold.symmetry import power_of_three_ratio
-    # the linear bridge itself carries the documented factor 3
-    lhs = change_basis(gen("omega1", 2), BETA)
-    rhs = gen("omega1_0", 2)
-    assert power_of_three_ratio(lhs, rhs) == 1
-    assert power_of_three_ratio(rhs, lhs) == -1
-    assert power_of_three_ratio(rhs, rhs) == 0
-    # non-uniform mismatches are not reported as a clean factor
-    other = gen("omega1_0", 2) + gen("omega1_0", 0)
-    assert power_of_three_ratio(lhs, other) is None
-    assert power_of_three_ratio(lhs, rhs.scale(F(2))) is None
