@@ -25,8 +25,8 @@ from .structure import (DecompositionReport, SpanReport, S3_GENERATOR_IDS,
 from .relations import CATALOG, default_instances, manifest, verify_relation
 from .primaries import (pair_orbifold_primary, s3_primary_vectors,
                         verify_primaries, z3_primary_vectors)
-from .qseries import (FracSeries, burnside_trace, fock_trace_series,
-                      module_character, orbifold_character, pochhammer_inv,
-                      twist_weight, w_algebra_free_character)
+from .qseries import (FracSeries, burnside_trace, character_terms,
+                      fock_trace_series, module_character, orbifold_character,
+                      pochhammer_inv, twist_weight, w_algebra_free_character)
 from .modular import (character_value, check_gauss_identity, eta,
                       qdim_estimate)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .fock import DEFAULT_TRUNCATION, enumerate_basis, FockState, parse_state
-from .qseries import (_CLASS_DATA, MAX_SERIES_ORDER, burnside_trace,
+from .qseries import (MAX_SERIES_ORDER, burnside_trace, character_terms,
                       module_character, orbifold_character,
                       w_algebra_free_character)
 from .modular import check_gauss_identity, qdim_estimate, DEFAULT_TOL
@@ -266,11 +266,8 @@ def _series_payload(series, count=None):
     return data
 
 
-#: the class sums ``char --check`` also recomputes from the direct traces, as
-#: (divisor, ((cycle type, weight), ...)); vac is the identity trace
-_CHECKED_CLASS_SUMS = {"s3": _CLASS_DATA["S3"], "z3": _CLASS_DATA["Z3"],
-                       "sgn": _CLASS_DATA["sgn"], "st": _CLASS_DATA["st"],
-                       "vac": (1, (((1, 1, 1), 1),))}
+#: the ``char --which`` names of the orbifold characters
+_ORBIFOLD_WHICH = {"s3": "S3", "z3": "Z3"}
 
 
 def cmd_char(args, parser):
@@ -279,25 +276,24 @@ def cmd_char(args, parser):
     except ValueError as exc:
         parser.error(f"bad --weights: {exc}")
     order = args.order
-    if args.which == "s3":
-        series = orbifold_character("S3", order)
-    elif args.which == "z3":
-        series = orbifold_character("Z3", order)
-    elif args.which in ("sgn", "st", "vac"):
-        series = module_character(args.which, order)
-    elif args.which in ("fock", "theta", "sigma"):
-        if not weights:
-            weights = {"fock": (0, 0, 0), "theta": (0, 0), "sigma": (0,)}[args.which]
-        try:
-            series = module_character(args.which, order, weights=weights)
-        except ValueError as exc:
-            parser.error(str(exc))
-    elif args.which == "w-free":
+    terms = ()
+    if args.which == "w-free":
         if not weights or any(w < 1 or w.denominator != 1 for w in weights):
             parser.error("w-free requires --weights, positive integers")
         series = w_algebra_free_character([int(w) for w in weights], order)
     else:
-        parser.error(f"unknown character {args.which!r}")
+        if not weights:
+            weights = {"fock": (0, 0, 0), "theta": (0, 0),
+                       "sigma": (0,)}.get(args.which, ())
+        try:
+            divisor, terms = character_terms(
+                _ORBIFOLD_WHICH.get(args.which, args.which), weights)
+        except ValueError as exc:
+            parser.error(str(exc))
+        if args.which in _ORBIFOLD_WHICH:
+            series = orbifold_character(_ORBIFOLD_WHICH[args.which], order)
+        else:
+            series = module_character(args.which, order, weights=weights)
 
     checks = {}
     if args.check_burnside:
@@ -311,18 +307,14 @@ def cmd_char(args, parser):
             if direct != burnside_trace(sigma.cycle_type(), top):
                 ok = False
             traces.setdefault(sigma.cycle_type(), []).append(direct)
-        if args.which in _CHECKED_CLASS_SUMS:
-            # the printed series against the direct traces, class-averaged
-            size, classes = _CHECKED_CLASS_SUMS[args.which]
-            parts = [direct.scale(Fraction(mult, size * len(traces[cycle_type])))
-                     for cycle_type, mult in classes
-                     for direct in traces[cycle_type]]
+        if terms and all(steps in traces for _, _, steps in terms):
+            # the printed series against the direct traces, class-averaged;
+            # a direct trace holds q^(-|steps|/24), the term q^offset
+            parts = [direct.scale(Fraction(mult, divisor * len(traces[steps])))
+                     .shift(offset + Fraction(sum(steps), 24))
+                     for mult, offset, steps in terms
+                     for direct in traces[steps]]
             if series != sum(parts[1:], parts[0]):
-                ok = False
-        elif args.which == "fock":
-            # the untwisted module is the identity trace shifted by |w|^2/2
-            shift = sum(Fraction(w) ** 2 for w in weights) / 2
-            if series != traces[(1, 1, 1)][0].shift(shift):
                 ok = False
         checks["burnside"] = ok
 

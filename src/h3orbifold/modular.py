@@ -11,6 +11,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .qseries import ORBIFOLD_GROUPS, character_terms
+
 TWO_PI = 2.0 * math.pi
 
 #: stop infinite products once |q|^n drops below this
@@ -166,38 +168,25 @@ def _inv_pochhammer_value(q: float, step: float = 1.0) -> float:
 
 
 def character_value(kind: str, t: float, weights=()) -> float:
-    """Closed-form product value of a module character at tau = i t."""
+    """Value of a module character at tau = i t: the terms of
+    ``qseries.character_terms`` in floats.  The kind and the weights are
+    checked before any product is evaluated."""
+    if kind in ORBIFOLD_GROUPS:
+        raise ValueError(f"unknown module kind {kind!r}")
+    divisor, terms = character_terms(kind, weights)
     if t <= 0:
         raise ValueError("t must be positive")
     q = math.exp(-TWO_PI * t)
-    weights = tuple(float(w) for w in weights)
-    full = q ** (-0.125) * _inv_pochhammer_value(q) ** 3
-    trace_swap = q ** (-0.125) * _inv_pochhammer_value(q, 2.0) * _inv_pochhammer_value(q)
-    trace_cycle = q ** (-0.125) * _inv_pochhammer_value(q, 3.0)
-    if kind == "vac":
-        return full
-    if kind == "orb":
-        return (full + 3 * trace_swap + 2 * trace_cycle) / 6.0
-    if kind == "sgn":
-        return (full - 3 * trace_swap + 2 * trace_cycle) / 6.0
-    if kind == "st":
-        return (full - trace_cycle) / 3.0
-    if kind == "fock":
-        if len(weights) != 3:
-            raise ValueError("fock takes three weights")
-        return q ** (sum(w * w for w in weights) / 2.0) * full
-    if kind == "theta":
-        if len(weights) != 2:
-            raise ValueError("theta takes two weights")
-        shift = sum(w * w for w in weights) / 2.0
-        return (q ** (-1.0 / 16.0 + shift)
-                * _inv_pochhammer_value(q, 0.5) * _inv_pochhammer_value(q))
-    if kind == "sigma":
-        if len(weights) != 1:
-            raise ValueError("sigma takes one weight")
-        return (q ** (weights[0] ** 2 / 2.0 - 1.0 / 72.0)
-                * _inv_pochhammer_value(q, 1.0 / 3.0))
-    raise ValueError(f"unknown module kind {kind!r}")
+    # one product per distinct step: the class sums share theirs
+    products = {s: _inv_pochhammer_value(q, float(s))
+                for s in {s for _, _, steps in terms for s in steps}}
+    total = 0.0
+    for mult, offset, steps in terms:
+        value = q ** float(offset)
+        for s in steps:
+            value *= products[s]
+        total += mult * value
+    return total / divisor
 
 
 @dataclass

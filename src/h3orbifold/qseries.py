@@ -1,10 +1,12 @@
 """Truncated q-series with fractional exponents and the orbifold characters.
 
 A series is a rational offset plus coefficients on the lattice (1/D)Z,
-complete for exponents up to a stated truncation order.  Character formulas
-are products of inverse Pochhammer symbols, each expanded by one integer pass
-of the partition recurrence (``_inverse_product``); graded dimensions come
-from averaging trace series over conjugacy classes.
+complete for exponents up to a stated truncation order.  Every character is
+defined once, as a table of Euler-product terms (``character_terms``): the
+exact series expand each term by one integer pass of the partition
+recurrence (``_inverse_product``), ``modular.character_value`` evaluates the
+same terms in floats, and ``h3orb char --check`` class-averages the direct
+traces with them.
 
 Coefficients stay Python ints wherever they are integral by construction:
 a series keeps an ``int`` coefficient as an ``int`` and makes a ``Fraction``
@@ -166,17 +168,17 @@ class FracSeries:
         }
 
 
-def _inverse_product(D: int, order, parts) -> FracSeries:
-    """prod_{p in parts} (1 - q^(p/D))^(-1) up to the order, for positive
+def _inverse_product(D: int, order, parts) -> list:
+    """The coefficients of q^(k/D), k = 0, 1, ..., of
+    prod_{p in parts} (1 - q^(p/D))^(-1) up to the order, for positive
     lattice parts p: one pass of the partition recurrence per part, on
     Python ints."""
-    order = Fraction(order)
-    top = int(order * D)
+    top = int(Fraction(order) * D)
     coeffs = [1] + [0] * top
     for p in parts:
         for k in range(p, top + 1):
             coeffs[k] += coeffs[k - p]
-    return FracSeries(D, 0, {k: c for k, c in enumerate(coeffs) if c}, order)
+    return coeffs
 
 
 def _multiples(D: int, order, steps) -> list:
@@ -184,60 +186,6 @@ def _multiples(D: int, order, steps) -> list:
     top = int(Fraction(order) * D)
     return [p for step in steps
             for p in range(int(step * D), top + 1, int(step * D))]
-
-
-def pochhammer_inv(step, order=DEFAULT_ORDER) -> FracSeries:
-    """Expansion of prod_{n>=1} (1 - q^(step*n))^(-1) up to the order.
-
-    Accepts fractional steps; the lattice adapts.
-    """
-    step = Fraction(step)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    D = step.denominator
-    return _inverse_product(D, order, _multiples(D, order, (step,)))
-
-
-def burnside_trace(cycle_type, order=DEFAULT_ORDER) -> FracSeries:
-    """Trace series of a permutation with the given cycle type on the rank-n
-    Fock space, including the q^(-n/24) prefactor."""
-    cycle_type = tuple(cycle_type)
-    series = _inverse_product(1, order, _multiples(1, order, cycle_type))
-    return series.shift(Fraction(-sum(cycle_type), 24))
-
-
-#: class sums over S3: (divisor, ((cycle type, weight), ...)).  S3 and Z3
-#: average the traces over the group; sgn and st weight them with the sign
-#: and standard characters, giving the isotypic pieces of the Fock space
-_CLASS_DATA = {
-    "S3": (6, (((1, 1, 1), 1), ((2, 1), 3), ((3,), 2))),
-    "Z3": (3, (((1, 1, 1), 1), ((3,), 2))),
-    "sgn": (6, (((1, 1, 1), 1), ((2, 1), -3), ((3,), 2))),
-    "st": (3, (((1, 1, 1), 1), ((3,), -1))),
-}
-
-
-def _class_sum(name: str, order) -> FracSeries:
-    """The weighted class traces of ``_CLASS_DATA[name]``, summed in ints
-    and divided once per coefficient.  Every cycle type of S3 sums to 3, so
-    the traces share their lattice, offset and order."""
-    size, classes = _CLASS_DATA[name]
-    total: dict = {}
-    for cycle_type, mult in classes:
-        trace = burnside_trace(cycle_type, order)
-        for k, c in trace.coeffs.items():
-            total[k] = total.get(k, 0) + mult * c
-    return FracSeries(trace.D, trace.offset,
-                      {k: Fraction(t, size) for k, t in total.items()},
-                      trace.order)
-
-
-def orbifold_character(group: str, order=DEFAULT_ORDER) -> FracSeries:
-    """Graded dimension series of the invariant subalgebra, by averaging the
-    class traces."""
-    if group not in ("S3", "Z3"):
-        raise ValueError(f"unknown group {group!r} (use S3 or Z3)")
-    return _class_sum(group, order)
 
 
 def twist_weight(p: int, r) -> Fraction:
@@ -252,41 +200,112 @@ def twist_weight(p: int, r) -> Fraction:
     return Fraction(total, 4 * p * p)
 
 
-def module_character(kind: str, order=DEFAULT_ORDER, weights=()) -> FracSeries:
-    """Characters of the named module families.
+#: the graded dimensions of the orbifolds, by group
+ORBIFOLD_GROUPS = ("S3", "Z3")
+
+#: class sums over S3: (divisor, ((cycle type, weight), ...)).  S3 and Z3
+#: average the traces over the group; sgn and st weight them with the sign
+#: and standard characters, giving the isotypic pieces of the Fock space;
+#: orb is the S3 average and vac the identity trace alone
+_CLASS_DATA = {
+    "S3": (6, (((1, 1, 1), 1), ((2, 1), 3), ((3,), 2))),
+    "Z3": (3, (((1, 1, 1), 1), ((3,), 2))),
+    "sgn": (6, (((1, 1, 1), 1), ((2, 1), -3), ((3,), 2))),
+    "st": (3, (((1, 1, 1), 1), ((3,), -1))),
+    "vac": (1, (((1, 1, 1), 1),)),
+}
+_CLASS_DATA["orb"] = _CLASS_DATA["S3"]
+
+#: the modules with highest weights: (number of weights, lowest weight of
+#: the sector, steps of the Euler product).  The untwisted Fock module is
+#: the identity trace; the 2-cycle twist has modes in Z/2 on one field and
+#: in Z on the other, the 3-cycle twist modes in Z/3 on one field
+_HIGHEST_WEIGHT_DATA = {
+    "fock": (3, 0, (1, 1, 1)),
+    "theta": (2, twist_weight(2, (1,)), (Fraction(1, 2), 1)),
+    "sigma": (1, twist_weight(3, (1, 1)), (Fraction(1, 3),)),
+}
+_WEIGHT_COUNTS = {1: "one highest weight", 2: "two highest weights",
+                  3: "three highest weights"}
+
+
+def character_terms(kind: str, weights=()) -> tuple:
+    """The character of a module kind as (divisor, ((mult, offset, steps),
+    ...)): it is (1/divisor) sum mult q^offset prod_{s in steps}
+    prod_{n>=1} (1 - q^(s n))^(-1).  Every offset includes the -c/24 = -1/8
+    of the three bosons.
 
     kind: "vac" (full rank-3 Fock space), "orb" / "sgn" / "st" (isotypic
-    pieces), "fock" (highest weight w1,w2,w3), "theta" (2-cycle twist, w1,w3),
-    "sigma" (3-cycle twist, w).
+    pieces), "fock" (highest weights w1,w2,w3), "theta" (2-cycle twist,
+    w1,w3), "sigma" (3-cycle twist, w), or a group of ``ORBIFOLD_GROUPS``
+    (its invariant subalgebra; S3 is orb).  The class sums ignore the
+    weights.  The terms of one character share their offset and lattice:
+    the class sums' steps are cycle types of S3, and every one sums to 3.
+    An unknown kind or a wrong number of weights raises ValueError.
     """
+    if kind in _CLASS_DATA:
+        divisor, classes = _CLASS_DATA[kind]
+        return divisor, tuple((mult, Fraction(-3, 24), cycle_type)
+                              for cycle_type, mult in classes)
+    if kind not in _HIGHEST_WEIGHT_DATA:
+        raise ValueError(f"unknown module kind {kind!r}")
+    count, h, steps = _HIGHEST_WEIGHT_DATA[kind]
     weights = tuple(Fraction(w) for w in weights)
-    if kind == "vac":
-        return burnside_trace((1, 1, 1), order)
-    if kind == "orb":
-        return orbifold_character("S3", order)
-    if kind in ("sgn", "st"):
-        return _class_sum(kind, order)
-    if kind == "fock":
-        if len(weights) != 3:
-            raise ValueError("fock takes three highest weights")
-        shift = sum(w * w / 2 for w in weights)
-        return burnside_trace((1, 1, 1), order).shift(shift)
-    if kind == "theta":
-        if len(weights) != 2:
-            raise ValueError("theta takes two highest weights")
-        shift = sum(w * w / 2 for w in weights)
-        h = twist_weight(2, (1,))
-        base = _inverse_product(2, order,
-                                _multiples(2, order, (Fraction(1, 2), 1)))
-        return base.shift(h - Fraction(3, 24) + shift)
-    if kind == "sigma":
-        if len(weights) != 1:
-            raise ValueError("sigma takes one highest weight")
-        shift = weights[0] ** 2 / 2
-        h = twist_weight(3, (1, 1))
-        base = pochhammer_inv(Fraction(1, 3), order)
-        return base.shift(h - Fraction(3, 24) + shift)
-    raise ValueError(f"unknown module kind {kind!r}")
+    if len(weights) != count:
+        raise ValueError(f"{kind} takes {_WEIGHT_COUNTS[count]}")
+    offset = h - Fraction(3, 24) + sum(w * w for w in weights) / 2
+    return 1, ((1, offset, steps),)
+
+
+def _character(divisor: int, terms, order) -> FracSeries:
+    """The series of ``character_terms`` up to the order: one
+    ``_inverse_product`` pass per term on the lattice of every step, the
+    terms summed in ints and divided once, only when the divisor is not 1.
+    The terms share their offset (see ``character_terms``)."""
+    D = lcm(*(Fraction(s).denominator for _, _, steps in terms for s in steps))
+    rows = [[mult * c for c in _inverse_product(D, order,
+                                                _multiples(D, order, steps))]
+            for mult, _, steps in terms]
+    offset = terms[0][1]
+    return FracSeries(D, offset, {k: t if divisor == 1 else Fraction(t, divisor)
+                                  for k, t in enumerate(map(sum, zip(*rows)))
+                                  if t},
+                      Fraction(order) + offset)
+
+
+def pochhammer_inv(step, order=DEFAULT_ORDER) -> FracSeries:
+    """Expansion of prod_{n>=1} (1 - q^(step*n))^(-1) up to the order.
+
+    Accepts fractional steps; the lattice adapts.
+    """
+    step = Fraction(step)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    return _character(1, ((1, 0, (step,)),), order)
+
+
+def burnside_trace(cycle_type, order=DEFAULT_ORDER) -> FracSeries:
+    """Trace series of a permutation with the given cycle type on the rank-n
+    Fock space, including the q^(-n/24) prefactor."""
+    cycle_type = tuple(cycle_type)
+    return _character(1, ((1, Fraction(-sum(cycle_type), 24), cycle_type),),
+                      order)
+
+
+def orbifold_character(group: str, order=DEFAULT_ORDER) -> FracSeries:
+    """Graded dimension series of the invariant subalgebra, by averaging the
+    class traces."""
+    if group not in ORBIFOLD_GROUPS:
+        raise ValueError(f"unknown group {group!r} (use S3 or Z3)")
+    return _character(*character_terms(group), order)
+
+
+def module_character(kind: str, order=DEFAULT_ORDER, weights=()) -> FracSeries:
+    """Characters of the module kinds of ``character_terms``; the group
+    names are ``orbifold_character``'s."""
+    if kind in ORBIFOLD_GROUPS:
+        raise ValueError(f"unknown module kind {kind!r}")
+    return _character(*character_terms(kind, weights), order)
 
 
 def w_algebra_free_character(gen_weights, order=DEFAULT_ORDER) -> FracSeries:
@@ -298,8 +317,9 @@ def w_algebra_free_character(gen_weights, order=DEFAULT_ORDER) -> FracSeries:
         raise ValueError("generator weights must be positive integers, got "
                          + ", ".join(map(str, weights)))
     top = int(order)
-    return _inverse_product(1, order, [m for w in weights
-                                       for m in range(int(w), top + 1)])
+    coeffs = _inverse_product(1, order, [m for w in weights
+                                         for m in range(int(w), top + 1)])
+    return FracSeries(1, 0, dict(enumerate(coeffs)), order)
 
 
 def fock_trace_series(sigma, max_weight: int) -> FracSeries:

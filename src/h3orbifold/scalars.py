@@ -100,14 +100,6 @@ class Scalar:
 
     # -- predicates ------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_rational(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
@@ -153,7 +145,6 @@ def _coerce(x):
 
 
 ZETA = Scalar(0, 1)
-ONE = Scalar(1, 0)
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -98,16 +98,6 @@ def _pairs_summing(total: int):
     return [(a, total - a) for a in range(total // 2 + 1)]
 
 
-def _triples_summing(total: int):
-    out = []
-    for a in range(total + 1):
-        for b in range(a, total + 1):
-            c = total - a - b
-            if c >= b:
-                out.append((a, b, c))
-    return out
-
-
 def check_decomposition(rel: str, multi_index) -> DecompositionReport:
     """Verify the decoupling shape of a D-expression.
 
@@ -131,14 +121,14 @@ def check_decomposition(rel: str, multi_index) -> DecompositionReport:
                 report.residual_monomials += 1
         if report.residual_monomials:
             return report
-        cubic = _triples_summing(total + 2)
-        sb = SolverBasis()
-        for t in cubic:
-            sb.insert(_diagonal_generator(3, t)[1])
-        coords = sb.solve(state.terms)
-        if coords is None:
+        try:
+            mu = cubic_family_coefficients(state)
+        except ValueError:
             return report
-        report.cubic = {cubic[k]: v for k, v in coords.items()}
+        # listed by largest index descending, then the next, as the
+        # pinned reports print them
+        report.cubic = {t: mu[t] for t in sorted(mu, key=lambda t: t[::-1],
+                                                 reverse=True)}
         report.ok = True
         return report
 

@@ -157,55 +157,43 @@ class GeneratorId:
         return f"{self.family}({','.join(str(i) for i in self.indices)})"
 
 
-_FAMILY_ARITY = {
-    "omega1": 1, "omega2": 2, "omega3": 3,
-    "omega1_0": 1, "omega2_0": 2, "omega3_0": 3,
-    "omega23_0": 2, "omega222_0": 3, "omega333_0": 3,
+#: every generator family as (basis, field patterns): the generator with
+#: indices i_1..i_k is the sum over its patterns (f_1..f_k) of the monomials
+#: with modes (i_j + 1, f_j), each with coefficient 1.  "omega1/2/3" live in
+#: the standard basis (sums over the three fields), the "_0" families in the
+#: diagonalized one
+FAMILIES = {
+    "omega1": (ALPHA, ((1,), (2,), (3,))),
+    "omega2": (ALPHA, ((1, 1), (2, 2), (3, 3))),
+    "omega3": (ALPHA, ((1, 1, 1), (2, 2, 2), (3, 3, 3))),
+    "omega1_0": (BETA, ((1,),)),
+    "omega2_0": (BETA, ((2, 3), (3, 2))),
+    "omega3_0": (BETA, ((2, 2, 2), (3, 3, 3))),
+    "omega23_0": (BETA, ((2, 3),)),
+    "omega222_0": (BETA, ((2, 2, 2),)),
+    "omega333_0": (BETA, ((3, 3, 3),)),
 }
 
 
 def generator_weight(gid: GeneratorId) -> int:
-    return sum(gid.indices) + _FAMILY_ARITY[gid.family]
+    return sum(gid.indices) + len(FAMILIES[gid.family][1][0])
 
 
 def build_generator(gid: GeneratorId) -> FockState:
-    """The named state, exactly as defined by its family.
-
-    Families "omega1/2/3" live in the standard basis (sums over the three
-    fields); the "_0" families live in the diagonalized basis.
-    """
+    """The named state, exactly as defined by its family in ``FAMILIES``."""
     family, idx = gid.family, tuple(gid.indices)
-    arity = _FAMILY_ARITY.get(family)
-    if arity is None:
+    if family not in FAMILIES:
         raise ValueError(f"unknown generator family {family!r}")
+    basis, patterns = FAMILIES[family]
+    arity = len(patterns[0])
     if len(idx) != arity:
         raise ValueError(f"{family} takes {arity} indices, got {len(idx)}")
     if any(i < 0 for i in idx):
         raise ValueError("generator indices must be >= 0")
-    levels = [i + 1 for i in idx]
-
-    if family in ("omega1", "omega2", "omega3"):
-        out = FockState(3, ALPHA)
-        for i in (1, 2, 3):
-            out._add_term(canonical([(lv, i) for lv in levels]), Fraction(1))
-        return out
-    out = FockState(3, BETA)
-    if family == "omega1_0":
-        out._add_term(((levels[0], 1),), Fraction(1))
-    elif family == "omega2_0":
-        a, b = levels
-        out._add_term(canonical([(a, 2), (b, 3)]), Fraction(1))
-        out._add_term(canonical([(a, 3), (b, 2)]), Fraction(1))
-    elif family == "omega3_0":
-        out._add_term(canonical([(lv, 2) for lv in levels]), Fraction(1))
-        out._add_term(canonical([(lv, 3) for lv in levels]), Fraction(1))
-    elif family == "omega23_0":
-        a, b = levels
-        out._add_term(canonical([(a, 2), (b, 3)]), Fraction(1))
-    elif family == "omega222_0":
-        out._add_term(canonical([(lv, 2) for lv in levels]), Fraction(1))
-    elif family == "omega333_0":
-        out._add_term(canonical([(lv, 3) for lv in levels]), Fraction(1))
+    out = FockState(3, basis)
+    for fields in patterns:
+        out._add_term(canonical([(i + 1, f) for i, f in zip(idx, fields)]),
+                      Fraction(1))
     return out
 
 

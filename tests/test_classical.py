@@ -111,6 +111,23 @@ def test_q0_equals_the_variable_products():
             q0(k, slots)
 
 
+def test_q0_has_the_monomials_of_the_diagonal_generator():
+    # classical._q0_codes is written out by hand; it must be the commutative
+    # shadow of symmetry.FAMILIES: y_f(m) for each mode of level m + 1 on
+    # field f of omega{k}_0, with the same coefficients
+    from h3orbifold.symmetry import gen
+    for k in (1, 2, 3):
+        for slots in itertools.product(range(4), repeat=k):
+            state = gen(f"omega{k}_0", *slots)
+            shadow = CPoly()
+            for mon, c in state.terms.items():
+                term = CPoly.constant(c)
+                for level, field in mon:
+                    term = term * CPoly.variable("y", field, level - 1)
+                shadow = shadow + term
+            assert q0(k, slots) == shadow, (k, slots)
+
+
 def _cpoly_product_relation(terms, idx) -> CPoly:
     """The relation as a sum of generator products formed by ``CPoly``: the
     expansion ``cpoly_relation`` replaces, kept as its oracle."""

@@ -180,6 +180,20 @@ def test_bad_input_exits_with_usage_error(capsys, argv):
     assert f"h3orb {argv[0]}: error: " in out.err
 
 
+@pytest.mark.parametrize("module, message", [
+    ("bogus", "unknown module kind 'bogus'"),
+    ("theta:0", "theta takes two highest weights"),
+    ("sigma", "sigma takes one highest weight"),
+])
+def test_qdim_names_a_bad_module_before_evaluating(capsys, module, message):
+    # at t = 1/10000 every Euler product overflows, so only a check made
+    # before any evaluation names the bad input
+    with pytest.raises(SystemExit) as exc:
+        main(["qdim", f"--module={module}", "--t-list=1/10000,1/1000"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"h3orb qdim: error: {message}\n")
+
+
 def test_dims_json(capsys):
     code, out = run_cli(capsys, "dims", "--max-weight", "12", "--format", "json")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import pytest
 
@@ -56,18 +57,30 @@ def test_gauss_identity_rejects_off_axis():
         check_gauss_identity(4, 1j)
 
 
+#: every module kind with the benchmark's nonzero highest-weight candidates
+_VALUE_CASES = ([(kind, ()) for kind in ("orb", "sgn", "st", "vac")]
+                + [("fock", w) for w in ((F(1, 2), F(1, 3), F(1, 4)), (1, 0, -1),
+                                         (F(2, 3), F(-1, 5), F(3, 7)),
+                                         (F(5, 3), F(2, 5), F(-1, 2)))]
+                + [("theta", w) for w in ((F(1, 2), F(1, 3)), (1, -1),
+                                          (F(-3, 4), 0), (F(5, 3), F(2, 5)))]
+                + [("sigma", (w,)) for w in (F(1, 2), F(1, 3), -1, F(5, 3))])
+
+
 def test_character_value_matches_series():
-    from h3orbifold.qseries import orbifold_character, module_character
-    t = 0.5
-    q = math.exp(-2 * math.pi * t)
-    for kind in ("orb", "sgn", "st", "vac"):
-        if kind == "orb":
-            series = orbifold_character("S3", 24)
-        else:
-            series = module_character(kind, 24)
-        series_val = sum(float(c) * q ** (float(series.offset) + k / series.D)
-                         for k, c in series.coeffs.items())
-        assert abs(series_val - character_value(kind, t)) < 1e-6, kind
+    # order 40 leaves a truncation error below 1e-14 even for sigma at
+    # t = 0.25, where the lattice step is q^(1/3)
+    from h3orbifold.qseries import module_character
+    for kind, weights in _VALUE_CASES:
+        series = module_character(kind, 40, weights)
+        for t in (0.5, 0.25):
+            q = math.exp(-2 * math.pi * t)
+            series_val = sum(float(c) * q ** float(series.offset + F(k, series.D))
+                             for k, c in series.coeffs.items())
+            value = character_value(kind, t, weights)
+            # a class sum cancels down from traces as large as the vacuum
+            scale = character_value("vac", t) if not weights else abs(value)
+            assert abs(series_val - value) <= 1e-12 * scale, (kind, weights, t)
 
 
 def test_fock_zero_weights_equals_vacuum_character():
@@ -109,3 +122,7 @@ def test_qdim_input_validation():
         qdim_estimate("fock", [0.1], weights=(0, 0, 0))
     with pytest.raises(ValueError):
         character_value("fock", 0.1, (0,))
+    # the group names are the orbifold characters', not module kinds
+    for group in ("S3", "Z3"):
+        with pytest.raises(ValueError, match="unknown module kind"):
+            character_value(group, 0.1)

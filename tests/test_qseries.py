@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from h3orbifold.fock import FockState, enumerate_basis
-from h3orbifold.qseries import (FracSeries, burnside_trace, fock_trace_series,
-                                module_character, orbifold_character,
+from h3orbifold.qseries import (FracSeries, burnside_trace, character_terms,
+                                fock_trace_series, module_character, orbifold_character,
                                 pochhammer_inv, twist_weight,
                                 w_algebra_free_character)
 from h3orbifold.symmetry import GROUPS, Permutation, act
@@ -148,6 +148,35 @@ def test_module_characters():
     assert fr.offset == F(1, 8) - F(1, 8) + F(0)  # w^2/2 - 1/8 = 0
     with pytest.raises(ValueError):
         module_character("sigma", 4, weights=(0, 0))
+
+
+def test_character_terms():
+    # the class sums average S3 cycle types, which all sum to 3: their
+    # terms share the offset -1/8 and the lattice Z
+    for kind in ("S3", "Z3", "orb", "sgn", "st", "vac"):
+        divisor, terms = character_terms(kind, (1, 2))  # weights ignored
+        assert {offset for _, offset, _ in terms} == {F(-1, 8)}
+        assert all(sum(steps) == 3 for _, _, steps in terms)
+        # the vacuum's share: 1 in the invariants, 0 in sgn and st
+        assert sum(mult for mult, _, _ in terms) in (0, divisor)
+    assert character_terms("theta", (1, F(1, 2))) == (
+        1, ((1, F(1, 16) - F(1, 8) + F(5, 8), (F(1, 2), 1)),))
+    assert character_terms("sigma", (0,)) == (1, ((1, F(-1, 72), (F(1, 3),)),))
+    for kind, weights, message in [
+            ("bogus", (), "unknown module kind 'bogus'"),
+            ("fock", (0, 0), "fock takes three highest weights"),
+            ("theta", (), "theta takes two highest weights"),
+            ("sigma", (0, 0), "sigma takes one highest weight")]:
+        with pytest.raises(ValueError) as exc:
+            character_terms(kind, weights)
+        assert str(exc.value) == message
+    # the group names are orbifold_character's, and the module kinds are
+    # not groups
+    for group in ("S3", "Z3"):
+        with pytest.raises(ValueError, match="unknown module kind"):
+            module_character(group, 4)
+    with pytest.raises(ValueError, match="unknown group"):
+        orbifold_character("orb", 4)
 
 
 def test_isotypic_decomposition():
