@@ -3,10 +3,18 @@
 A series is a rational offset plus coefficients on the lattice (1/D)Z,
 complete for exponents up to a stated truncation order.  Every character is
 defined once, as a table of Euler-product terms (``character_terms``): the
-exact series expand each term by one integer pass of the partition
-recurrence (``_inverse_product``), ``modular.character_value`` evaluates the
-same terms in floats, and ``h3orb char --check`` class-averages the direct
-traces with them.
+exact series expand each term with ``_euler_product``,
+``modular.character_value`` evaluates the same terms in floats, and
+``h3orb char --check`` class-averages the direct traces with them.
+
+``_euler_product`` divides by Euler's pentagonal series
+prod_{n>=1} (1 - x^n) = sum_{j in Z} (-1)^j x^(j(3j-1)/2) (Andrews, *The
+Theory of Partitions*, ch. 1), once per step of a term, in place of one
+pass of the partition recurrence per part.  It is sound because all its
+arithmetic is exact modulo x^(top+1), where the parts above the truncation
+are 1, so the coefficients are those of the per-part recurrence.  With
+only O(sqrt N) pentagonal exponents up to N, a step costs O(N^1.5) big-int
+additions on N lattice points where the per-part passes cost O(N^2).
 
 Coefficients stay Python ints wherever they are integral by construction:
 a series keeps an ``int`` coefficient as an ``int`` and makes a ``Fraction``
@@ -71,8 +79,15 @@ class FracSeries:
         return self.coeffs.get(int(rel), 0)
 
     def integer_slice(self, count: int) -> list:
-        """Coefficients at offset + 0, offset + 1, ..., offset + count - 1."""
-        return [self.coefficient(self.offset + n) for n in range(count)]
+        """Coefficients at offset + 0, offset + 1, ..., offset + count - 1,
+        read at the lattice indices 0, D, 2D, ...; a slice past the
+        truncation raises ValueError."""
+        # the first n >= 0 with offset + n beyond the order
+        past = max(floor(self.order - self.offset) + 1, 0)
+        if count > past:
+            e = self.offset + past
+            raise ValueError(f"exponent {e} beyond truncation {self.order}")
+        return [self.coeffs.get(n * self.D, 0) for n in range(count)]
 
     # -- arithmetic -----------------------------------------------------
 
@@ -168,24 +183,61 @@ class FracSeries:
         }
 
 
-def _inverse_product(D: int, order, parts) -> list:
-    """The coefficients of q^(k/D), k = 0, 1, ..., of
-    prod_{p in parts} (1 - q^(p/D))^(-1) up to the order, for positive
-    lattice parts p: one pass of the partition recurrence per part, on
-    Python ints."""
+def _pentagonal_exponents(top: int) -> tuple:
+    """The exponents g in 1..top of Euler's pentagonal series
+    E(x) = prod_{n>=1} (1 - x^n) = sum_{j in Z} (-1)^j x^(j(3j-1)/2), as two
+    ascending lists: those with coefficient -1 (odd j) and those with +1."""
+    minus, plus = [], []
+    j, g = 1, 1
+    while g <= top:
+        (minus if j % 2 else plus).extend(e for e in (g, g + j) if e <= top)
+        j += 1
+        g = j * (3 * j - 1) // 2
+    return minus, plus
+
+
+def _euler_product(D: int, order, strides, factors=()) -> list:
+    """The coefficients of x^k, x = q^(1/D), k = 0, 1, ..., top = order*D, of
+    prod_{p in strides} prod_{n>=1} (1 - x^(p n))^(-1) times
+    prod_{m in factors} (1 - x^m), for positive integer strides and factors,
+    on Python ints.
+
+    Each stride p is one division by E(x^p), E the pentagonal series of
+    ``_pentagonal_exponents``: for k ascending, in place,
+    a_k <- a_k - sum_{g>=1} e_g a_(k-pg), e_g the coefficient of x^g in E.
+    Each factor is one descending pass a_k <- a_k - a_(k-m).
+
+    Sound: every step is exact in Z[x] modulo x^(top+1), and truncation is a
+    ring homomorphism from the power series.  E(x^p) has constant term 1, so
+    it is a unit there and the recurrence gives the quotient exactly, and
+    prod_{n>=1} (1 - x^(pn)) = E(x^p).  A part pn > top is 1 modulo
+    x^(top+1), so the list equals, element for element, the one a pass of
+    the partition recurrence per part pn <= top gives.
+
+    Cost: E has about 2 sqrt(2k/3) exponents up to k, so a stride takes
+    O(top^1.5 / sqrt(p)) big-int additions where one pass per part takes
+    about top^2 / (2p), and a factor takes top - m."""
     top = int(Fraction(order) * D)
     coeffs = [1] + [0] * top
-    for p in parts:
+    for p in strides:
+        minus, plus = _pentagonal_exponents(top // p)
+        minus = [g * p for g in minus]
+        plus = [g * p for g in plus]
         for k in range(p, top + 1):
-            coeffs[k] += coeffs[k - p]
+            c = coeffs[k]
+            for g in minus:
+                if g > k:
+                    break
+                c += coeffs[k - g]
+            for g in plus:
+                if g > k:
+                    break
+                c -= coeffs[k - g]
+            coeffs[k] = c
+    for m in factors:
+        for k in range(top, m - 1, -1):
+            coeffs[k] -= coeffs[k - m]
     return coeffs
-
-
-def _multiples(D: int, order, steps) -> list:
-    """The lattice parts step*n (n >= 1, up to the order) of every step."""
-    top = int(Fraction(order) * D)
-    return [p for step in steps
-            for p in range(int(step * D), top + 1, int(step * D))]
 
 
 def twist_weight(p: int, r) -> Fraction:
@@ -238,12 +290,15 @@ def character_terms(kind: str, weights=()) -> tuple:
     kind: "vac" (full rank-3 Fock space), "orb" / "sgn" / "st" (isotypic
     pieces), "fock" (highest weights w1,w2,w3), "theta" (2-cycle twist,
     w1,w3), "sigma" (3-cycle twist, w), or a group of ``ORBIFOLD_GROUPS``
-    (its invariant subalgebra; S3 is orb).  The class sums ignore the
+    (its invariant subalgebra; S3 is orb).  The class sums take no
     weights.  The terms of one character share their offset and lattice:
     the class sums' steps are cycle types of S3, and every one sums to 3.
-    An unknown kind or a wrong number of weights raises ValueError.
+    An unknown kind or a wrong number of weights (any weight for a class
+    sum) raises ValueError.
     """
     if kind in _CLASS_DATA:
+        if weights:
+            raise ValueError(f"{kind} takes no highest weights")
         divisor, classes = _CLASS_DATA[kind]
         return divisor, tuple((mult, Fraction(-3, 24), cycle_type)
                               for cycle_type, mult in classes)
@@ -259,12 +314,12 @@ def character_terms(kind: str, weights=()) -> tuple:
 
 def _character(divisor: int, terms, order) -> FracSeries:
     """The series of ``character_terms`` up to the order: one
-    ``_inverse_product`` pass per term on the lattice of every step, the
-    terms summed in ints and divided once, only when the divisor is not 1.
-    The terms share their offset (see ``character_terms``)."""
+    ``_euler_product`` per term on the lattice of every step, one stride per
+    step, the terms summed in ints and divided once, only when the divisor
+    is not 1.  The terms share their offset (see ``character_terms``)."""
     D = lcm(*(Fraction(s).denominator for _, _, steps in terms for s in steps))
-    rows = [[mult * c for c in _inverse_product(D, order,
-                                                _multiples(D, order, steps))]
+    rows = [[mult * c for c in _euler_product(D, order,
+                                              [int(s * D) for s in steps])]
             for mult, _, steps in terms]
     offset = terms[0][1]
     return FracSeries(D, offset, {k: t if divisor == 1 else Fraction(t, divisor)
@@ -310,15 +365,17 @@ def module_character(kind: str, order=DEFAULT_ORDER, weights=()) -> FracSeries:
 
 def w_algebra_free_character(gen_weights, order=DEFAULT_ORDER) -> FracSeries:
     """Graded dimensions of a freely generated algebra with one generator per
-    listed weight: prod_w prod_{m>=w} (1-q^m)^(-1).  A weight that is not a
-    positive integer raises ValueError."""
+    listed weight: prod_w prod_{m>=w} (1-q^m)^(-1), each factor expanded as
+    E(q)^(-1) prod_{1<=m<w} (1-q^m) (see ``_euler_product``).  A weight above
+    the order contributes 1.  A weight that is not a positive integer raises
+    ValueError."""
     weights = [Fraction(w) for w in gen_weights]
     if any(w <= 0 or w.denominator != 1 for w in weights):
         raise ValueError("generator weights must be positive integers, got "
                          + ", ".join(map(str, weights)))
-    top = int(order)
-    coeffs = _inverse_product(1, order, [m for w in weights
-                                         for m in range(int(w), top + 1)])
+    kept = [int(w) for w in weights if w <= order]
+    coeffs = _euler_product(1, order, [1] * len(kept),
+                            [m for w in kept for m in range(1, w)])
     return FracSeries(1, 0, dict(enumerate(coeffs)), order)
 
 

@@ -168,6 +168,9 @@ def test_verify_deterministic_output(capsys):
     ["qdim", "--module", "sgn", "--t-list", "1/10000,1/1000"],
     ["qdim", "--module", "sgn", "--t-list", "1000,2000"],
     ["qdim", "--module", "sgn", "--t-list", "1/2,1/10,1/10"],
+    ["qdim", "--module", "sgn:1,2"],
+    ["char", "--which", "s3", "--weights", "1,2"],
+    ["char", "--which=vac", "--weights=0"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_with_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -184,6 +187,8 @@ def test_bad_input_exits_with_usage_error(capsys, argv):
     ("bogus", "unknown module kind 'bogus'"),
     ("theta:0", "theta takes two highest weights"),
     ("sigma", "sigma takes one highest weight"),
+    ("sgn:1,2", "sgn takes no highest weights"),
+    ("orb:0", "orb takes no highest weights"),
 ])
 def test_qdim_names_a_bad_module_before_evaluating(capsys, module, message):
     # at t = 1/10000 every Euler product overflows, so only a check made
@@ -293,6 +298,29 @@ def test_char_payloads_are_pinned(capsys):
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     combined = hashlib.sha256("\n".join(digests).encode()).hexdigest()
     assert combined == CHAR_PIN_SHA256
+
+
+#: SHA-256 of ``h3orb char --check --format=json --order=1000`` for the
+#: twisted modules, a Fock module off the vacuum and both generating types of
+#: ``w-free``, at the CLI's largest order
+CHAR_LARGEST_ORDER_SHA256 = {
+    ("theta", "1/2,1/3"): "648a7e24cdd4110b7b2e2938809a4651047bebd5f2d44f73e8959c9fbd68d51a",
+    ("sigma", "1/2"): "c096c7588a66c300b54a9ee3c99ac1ce8a621ce94e3008634d4fa284b3bb0227",
+    ("fock", "1/2,1/3,1/4"): "aabe122444b28ac819bfc980e5819cd38fa0c0be6d34bb181c4c4b266f0e6d11",
+    ("w-free", "1,2,3,4,5,6,6"): "a4e0c10a237c28bcfbd504550886472f6ed0bef3069931ea03b0190d1891359f",
+    ("w-free", "1,2,3,3,3,4,5,5,5"): "fecf7a252d5ec8efa1fe0104c4a00162ff237cad42debbf0939c3c68b15d5537",
+}
+
+
+@pytest.mark.parametrize("key", list(CHAR_LARGEST_ORDER_SHA256),
+                         ids=lambda key: ":".join(key))
+def test_char_at_the_largest_order_is_pinned(capsys, key):
+    which, weights = key
+    code, out = run_cli(capsys, "char", f"--which={which}", "--order=1000",
+                        "--check", "--format=json", f"--weights={weights}")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CHAR_LARGEST_ORDER_SHA256[key]
 
 
 def test_char_check_fails_on_a_perturbed_trace(capsys, monkeypatch):

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from h3orbifold.fock import FockState, enumerate_basis
-from h3orbifold.qseries import (FracSeries, burnside_trace, character_terms,
-                                fock_trace_series, module_character, orbifold_character,
+from h3orbifold.qseries import (FracSeries, _euler_product, burnside_trace,
+                                character_terms, fock_trace_series,
+                                module_character, orbifold_character,
                                 pochhammer_inv, twist_weight,
                                 w_algebra_free_character)
 from h3orbifold.symmetry import GROUPS, Permutation, act
@@ -154,11 +156,16 @@ def test_character_terms():
     # the class sums average S3 cycle types, which all sum to 3: their
     # terms share the offset -1/8 and the lattice Z
     for kind in ("S3", "Z3", "orb", "sgn", "st", "vac"):
-        divisor, terms = character_terms(kind, (1, 2))  # weights ignored
+        divisor, terms = character_terms(kind)
         assert {offset for _, offset, _ in terms} == {F(-1, 8)}
         assert all(sum(steps) == 3 for _, _, steps in terms)
         # the vacuum's share: 1 in the invariants, 0 in sgn and st
         assert sum(mult for mult, _, _ in terms) in (0, divisor)
+        # they have no highest weights to take
+        for weights in ((1, 2), (0,)):
+            with pytest.raises(ValueError) as exc:
+                character_terms(kind, weights)
+            assert str(exc.value) == f"{kind} takes no highest weights"
     assert character_terms("theta", (1, F(1, 2))) == (
         1, ((1, F(1, 16) - F(1, 8) + F(5, 8), (F(1, 2), 1)),))
     assert character_terms("sigma", (0,)) == (1, ((1, F(-1, 72), (F(1, 3),)),))
@@ -177,6 +184,64 @@ def test_character_terms():
             module_character(group, 4)
     with pytest.raises(ValueError, match="unknown group"):
         orbifold_character("orb", 4)
+
+
+def _per_part_product(D, order, parts):
+    """The expansion as it was written before the pentagonal division: one
+    pass of the partition recurrence per lattice part p, dividing by
+    (1 - q^(p/D))."""
+    top = int(F(order) * D)
+    coeffs = [1] + [0] * top
+    for p in parts:
+        for k in range(p, top + 1):
+            coeffs[k] += coeffs[k - p]
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.integers(1, 6), strides=st.lists(st.integers(1, 18), min_size=1,
+                                            max_size=3),
+       order=st.integers(0, 300))
+def test_euler_product_equals_the_per_part_recurrence(D, strides, order):
+    # the steps k/D; their parts k n on the lattice 1/D, up to the order
+    top = order * D
+    parts = [k * n for k in strides for n in range(1, top // k + 1)]
+    assert _euler_product(D, order, strides) == _per_part_product(D, order,
+                                                                  parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights=st.lists(st.integers(1, 8) | st.integers(1, 320), min_size=1,
+                        max_size=9),
+       order=st.integers(0, 300))
+def test_free_type_character_equals_the_per_part_recurrence(weights, order):
+    # weights above the order included: their factors start past it
+    parts = [m for w in weights for m in range(w, order + 1)]
+    expected = FracSeries(1, 0, dict(enumerate(_per_part_product(1, order,
+                                                                 parts))),
+                          order)
+    assert w_algebra_free_character(weights, order).to_json() == expected.to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(D=st.integers(1, 6),
+       offset=st.fractions(-3, 3, max_denominator=72),
+       order=st.fractions(-1, 12, max_denominator=8),
+       coeffs=st.dictionaries(st.integers(0, 100),
+                              st.integers(-10 ** 30, 10 ** 30)
+                              | st.fractions(max_denominator=50)))
+def test_integer_slice_reads_the_lattice(D, offset, order, coeffs):
+    series = FracSeries(D, offset, coeffs, order)
+    count = sum(1 for n in range(20) if offset + n <= order)
+    expected = [series.coefficient(offset + n) for n in range(count)]
+    assert series.integer_slice(count) == expected
+    assert [type(c) for c in series.integer_slice(count)] == list(map(type, expected))
+    # a slice past the truncation raises as the coefficient past it does
+    with pytest.raises(ValueError) as past:
+        series.coefficient(offset + count)
+    with pytest.raises(ValueError) as sliced:
+        series.integer_slice(count + 1)
+    assert str(sliced.value) == str(past.value)
 
 
 def test_isotypic_decomposition():
