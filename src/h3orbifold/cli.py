@@ -14,6 +14,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .fock import DEFAULT_TRUNCATION, enumerate_basis, FockState, parse_state
@@ -56,6 +57,14 @@ def _fractions(text):
         return tuple(Fraction(w) for w in text.split(",")) if text else ()
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def _float(value):
+    """float(value); ValueError where value is beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("number too large for a float") from None
 
 
 def _emit(payload, fmt, text_lines):
@@ -339,7 +348,7 @@ def cmd_qdim(args, parser):
     expected = {"fock": 6.0, "orb": 1.0, "sgn": 1.0, "st": 2.0}
     try:
         weights = _fractions(rest)
-        t_list = [float(t) for t in _fractions(args.t_list)]
+        t_list = [_float(t) for t in _fractions(args.t_list)]
         report = qdim_estimate(kind, t_list, weights=weights)
     except ValueError as exc:
         parser.error(str(exc))
@@ -361,10 +370,11 @@ def cmd_qdim(args, parser):
 
 def _parse_tau(text):
     """Accepts "i", "2i", "i/2", "3i/4", or "re,im"; bare numbers are taken
-    as points on the imaginary axis."""
+    as points on the imaginary axis.  ValueError for malformed text or a
+    part beyond the float range."""
     if "," in text:
         re_, im = text.split(",")
-        return complex(float(Fraction(re_)), float(Fraction(im)))
+        return complex(_float(Fraction(re_)), _float(Fraction(im)))
     text = text.strip().replace(" ", "")
     if "i" in text:
         num, _, den = text.partition("/")
@@ -372,8 +382,8 @@ def _parse_tau(text):
         if num == "-":
             num = "-1"
         mag = Fraction(num) / (Fraction(den) if den else 1)
-        return complex(0, float(mag))
-    return complex(0, float(Fraction(text)))
+        return complex(0, _float(mag))
+    return complex(0, _float(Fraction(text)))
 
 
 def cmd_modular(args, parser):
@@ -499,8 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` builds once per process; parsing leaves it as it
+    was, so every call parses as a fresh ``build_parser()`` would."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     # each command reports usage errors through its own subparser
     return args.func(args, args.parser)
 

@@ -41,9 +41,21 @@ def _normalize_coeff(c: Coeff) -> Coeff:
     return c
 
 
+class _SortKeys(dict):
+    """(level, field) -> (-level, field), each key built on first use."""
+
+    def __missing__(self, mode):
+        key = self[mode] = (-mode[0], mode[1])
+        return key
+
+
+#: the canonical sort key, looked up in C rather than built by a lambda
+_sort_key = _SortKeys().__getitem__
+
+
 def canonical(modes: Iterable[Tuple[int, int]]) -> Monomial:
     """Sort (level, field) pairs into the canonical order."""
-    return tuple(sorted(modes, key=lambda lf: (-lf[0], lf[1])))
+    return tuple(sorted(modes, key=_sort_key))
 
 
 def monomial_weight(mon: Monomial) -> int:

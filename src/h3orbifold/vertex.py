@@ -37,6 +37,23 @@ an integer.  Every term has weight wt(u) + wt(v) - n - 1, so u_n v = 0 once
 n >= wt(u) + wt(v).  The formula is exact over Q / Q(z) and needs no OPE
 tables.
 
+The spreads come from a raise table (``_raises``): for a tuple of modes and
+an excess, the spreads grouped by their canonical raised monomial, the
+coefficients of a group summed, the groups in the order each first occurs.
+It is memoised beside the product memo, and ``clear_product_cache`` empties
+both.  Every memo value is the same int dict, in the same key order, as a
+loop over single spreads gives:
+
+* the sum over the spreads of one sigma depends on sigma only through its
+  unmatched modes and E, so it is one table entry;
+* every spread coefficient is a positive integer, so summing a group is
+  exact and no group is zero;
+* the output monomial canonical(rest + added) depends only on the multiset
+  of its modes, so a group gives one output monomial, distinct groups give
+  distinct ones, and each is first met at the same spread as before.
+
+T^k / k! reads the same table with the modes of a monomial and E = k.
+
 Products, axiom residuals and translations run on integers.  Each state
 is converted once to its scaled form (den, re, im) (``_scaled``): den is the
 lcm of the denominators of its coefficients, and re and im are the
@@ -67,9 +84,14 @@ from .scalars import Scalar
 #: memo table for monomial-level products, keyed by (basis, u, n, v)
 _PRODUCT_CACHE: dict = {}
 
+#: raise table: (modes, excess) -> the merged spreads (``_raises``)
+_RAISE_CACHE: dict = {}
+
 
 def clear_product_cache() -> None:
+    """Empty the product memo and the raise table."""
     _PRODUCT_CACHE.clear()
+    _RAISE_CACHE.clear()
 
 
 def _gen_binom(top: int, k: int) -> int:
@@ -128,16 +150,34 @@ def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> dict:
             else:
                 if excess < 0 or (excess and not free):
                     continue
+                # rest and every raised part are canonical already
                 rest = tuple(rest)
-                for added, c in _spread(free, excess):
-                    mon = canonical(rest + added)
+                for raised, c in _raises(tuple(free), excess):
+                    mon = (canonical(rest + raised) if rest and raised
+                           else rest or raised)
                     result[mon] = result.get(mon, 0) + coeff * c
         result = {mon: c for mon, c in result.items() if c}
     _PRODUCT_CACHE[key] = result
     return result
 
 
-def _spread(free: list, excess: int) -> list:
+def _raises(modes: Monomial, excess: int) -> list:
+    """[(raised, coefficient)]: the spreads of excess over modes
+    (``_spread``) grouped by their canonical raised monomial, in the order
+    each first occurs, with the coefficients of a group summed; memoised in
+    ``_RAISE_CACHE``."""
+    key = (modes, excess)
+    hit = _RAISE_CACHE.get(key)
+    if hit is None:
+        merged: dict = {}
+        for added, c in _spread(modes, excess):
+            raised = canonical(added)
+            merged[raised] = merged.get(raised, 0) + c
+        hit = _RAISE_CACHE[key] = list(merged.items())
+    return hit
+
+
+def _spread(free: Monomial, excess: int) -> list:
     """[(modes, coefficient)] for every way of raising the levels m of the
     modes (m, f) in free by e >= 0 with sum e = excess; each raise adds the
     factor C(m + e - 1, m - 1)."""
@@ -233,14 +273,13 @@ def _divided_power(x: dict, k: int) -> dict:
 
     T is the derivation x_f(-m) -> m x_f(-m-1), so T^k / k! spreads k over
     the modes of each monomial, a raise e of a mode at level m adding the
-    factor C(m + e - 1, m - 1) (``_spread``): an integer map.  The vacuum
+    factor C(m + e - 1, m - 1) (``_raises``): an integer map.  The vacuum
     has no modes to raise, and T^k |0> = 0 for k >= 1.
     """
     out: dict = {}
     for mon, c in x.items():
         if mon or not k:
-            for added, f in _spread(list(mon), k):
-                key = canonical(added)
+            for key, f in _raises(mon, k):
                 val = out.get(key, 0) + c * f
                 if val:
                     out[key] = val

@@ -171,6 +171,9 @@ def test_verify_deterministic_output(capsys):
     ["qdim", "--module", "sgn:1,2"],
     ["char", "--which", "s3", "--weights", "1,2"],
     ["char", "--which=vac", "--weights=0"],
+    ["modular", "--tau=1e400i"],
+    ["modular", "--tau=0,1e400"],
+    ["qdim", "--module", "sgn", "--t-list", "1e400"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_with_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -221,6 +224,36 @@ def test_values_with_a_leading_minus_take_the_equals_form(capsys):
         main(["modular", "--tau=-i"])
     assert exc.value.code == 2
     assert "upper half-plane" in capsys.readouterr().err
+
+
+def _outcome(capsys, run, argv):
+    """(exit code, stdout, stderr) of run(argv)."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _fresh_main(argv):
+    """``main`` with a parser of its own for this call."""
+    args = build_parser().parse_args(argv)
+    return args.func(args, args.parser)
+
+
+@pytest.mark.parametrize("first, second", [
+    (["modular", "--tau=-i"], ["span", "--max-weight", "3", "--format", "json"]),
+    (["char", "--which", "s3", "--order", "6"], ["qdim", "--module", "sgn:1,2"]),
+], ids=["bad-then-good", "good-then-bad"])
+def test_main_parses_with_one_parser_as_with_fresh_ones(capsys, monkeypatch,
+                                                       first, second):
+    expected = [_outcome(capsys, _fresh_main, argv) for argv in (first, second)]
+    assert sorted(code for code, _, _ in expected) == [0, 2]
+    main(["manifest"])  # main has built its parser by now
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "build_parser", None)  # and builds no other
+    assert [_outcome(capsys, main, argv) for argv in (first, second)] == expected
 
 
 #: SHA-256 of ``h3orb char --format=json --order=40`` for every character,

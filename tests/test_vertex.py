@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
-from math import factorial
+from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,6 +279,128 @@ def test_wick_kernel_equals_the_recursion():
             beyond += 1
             assert got == {}
     assert repeated > 50 and beyond > 50
+
+
+# -- the raise table against the per-spread kernel it replaced ---------------
+
+
+def _old_canonical(modes):
+    """``fock.canonical`` with the lambda sort key it had."""
+    return tuple(sorted(modes, key=lambda lf: (-lf[0], lf[1])))
+
+
+def _old_spread(free, excess):
+    """``_spread``, unchanged, so the oracles below stand alone."""
+    parts = [((), 1, excess)]
+    last = len(free) - 1
+    for k, (m, f) in enumerate(free):
+        parts = [(modes + ((m + e, f),), c * comb(m + e - 1, m - 1), left - e)
+                 for modes, c, left in parts
+                 for e in ((left,) if k == last else range(left + 1))]
+    return [(modes, c) for modes, c, _ in parts]
+
+
+def _old_monomial_product(basis, u, n, v):
+    """Oracle for ``_monomial_product``: the kernel before the raise table,
+    one sort per spread of the excess, without the memo."""
+    result = {}
+    if n < monomial_weight(u) + monomial_weight(v):
+        distinct = dict.fromkeys(v)
+        options = []
+        for m, f in u:
+            partner = _BETA_PAIR[f] if basis == BETA else f
+            options.append([None] + [((l, g), l * _gen_binom(-l - 1, m - 1), m + l)
+                                     for l, g in distinct if g == partner])
+        for sigma in product(*options):
+            coeff = 1
+            excess = -n - 1
+            free = []
+            rest = list(v)
+            for mode_u, pick in zip(u, sigma):
+                if pick is None:
+                    free.append(mode_u)
+                    continue
+                mode, c, levels = pick
+                copies = rest.count(mode)
+                if not copies:
+                    break
+                rest.remove(mode)
+                coeff *= copies * c
+                excess += levels
+            else:
+                if excess < 0 or (excess and not free):
+                    continue
+                rest = tuple(rest)
+                for added, c in _old_spread(free, excess):
+                    mon = _old_canonical(rest + added)
+                    result[mon] = result.get(mon, 0) + coeff * c
+        result = {mon: c for mon, c in result.items() if c}
+    return result
+
+
+def _old_divided_power(x, k):
+    """Oracle for ``_divided_power``: one sort per spread."""
+    out = {}
+    for mon, c in x.items():
+        if mon or not k:
+            for added, f in _old_spread(list(mon), k):
+                key = _old_canonical(added)
+                val = out.get(key, 0) + c * f
+                if val:
+                    out[key] = val
+                else:
+                    del out[key]
+    return out
+
+
+def _kernel_cases(seed, count):
+    """Seeded (basis, u, n, v) over low modes, so that repeated modes are
+    common, with n from -6 to wt(u) + wt(v) + 1."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        u, v = _rand_monomial(rng, 6), _rand_monomial(rng, 7)
+        top = monomial_weight(u) + monomial_weight(v) + 1
+        cases.append((rng.choice([ALPHA, BETA]), u, rng.randint(-6, top), v))
+    return cases
+
+
+def test_raise_table_kernel_equals_the_per_spread_kernel():
+    vertex.clear_product_cache()
+    cases = _kernel_cases(31, 1500)
+    for basis in (ALPHA, BETA):
+        assert sum(case[0] == basis for case in cases) > 600
+    repeated_u = repeated_v = nonzero = 0
+    for case in cases:
+        got = _monomial_product(*case)
+        # equal dicts in the same key order
+        assert list(got.items()) == list(_old_monomial_product(*case).items()), case
+        _, u, _, v = case
+        repeated_u += len(set(u)) < len(u)
+        repeated_v += len(set(v)) < len(v)
+        nonzero += bool(got)
+    assert repeated_u > 150 and repeated_v > 150 and nonzero > 500
+
+
+def test_raise_table_divided_powers_equal_the_per_spread_ones():
+    rng = random.Random(32)
+    for trial in range(150):
+        x = {_rand_monomial(rng, 6): rng.choice([-3, -2, -1, 1, 2, 5])
+             for _ in range(rng.randint(1, 5))}
+        if trial % 10 == 0:
+            x[()] = 7
+        for k in range(7):
+            assert vertex._divided_power(x, k) == _old_divided_power(x, k), (x, k)
+
+
+def test_clearing_the_cache_empties_both_tables():
+    cases = _kernel_cases(33, 300)
+    vertex.clear_product_cache()
+    first = [list(_monomial_product(*case).items()) for case in cases]
+    assert vertex._PRODUCT_CACHE and vertex._RAISE_CACHE
+    vertex.clear_product_cache()
+    assert not vertex._PRODUCT_CACHE and not vertex._RAISE_CACHE
+    assert [list(_monomial_product(*case).items()) for case in cases] == first
 
 
 def test_wick_kernel_contracts_repeated_modes_both_ways():
