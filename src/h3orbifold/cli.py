@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +27,11 @@ from .structure import MAX_SPAN_WEIGHT
 
 SCHEMA = "h3orbifold-report/1"
 DEFAULT_SEED = "H3S3"
+#: largest decimal exponent a rational argument may carry ("1e1000"); a
+#: larger one is rejected on the text, since ``Fraction`` expands it into
+#: an exact integer before any range check (seconds at 10^6 digits)
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)")
 
 
 def _int_range(lo, hi):
@@ -50,11 +56,25 @@ def _positive_float(text):
     return value
 
 
+def _rational(text):
+    """Fraction(text); ValueError on a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT in size, found on the text before Fraction sees
+    it."""
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or \
+                int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"exponent in {text!r} beyond "
+                             f"{MAX_DECIMAL_EXPONENT} in size")
+    return Fraction(text)
+
+
 def _fractions(text):
     """Comma-separated rationals; ValueError on malformed or zero-denominator
-    entries."""
+    entries, or on a decimal exponent beyond MAX_DECIMAL_EXPONENT."""
     try:
-        return tuple(Fraction(w) for w in text.split(",")) if text else ()
+        return tuple(_rational(w) for w in text.split(",")) if text else ()
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
@@ -370,20 +390,21 @@ def cmd_qdim(args, parser):
 
 def _parse_tau(text):
     """Accepts "i", "2i", "i/2", "3i/4", or "re,im"; bare numbers are taken
-    as points on the imaginary axis.  ValueError for malformed text or a
-    part beyond the float range."""
+    as points on the imaginary axis.  ValueError for malformed text, a
+    part beyond the float range or a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT."""
     if "," in text:
         re_, im = text.split(",")
-        return complex(_float(Fraction(re_)), _float(Fraction(im)))
+        return complex(_float(_rational(re_)), _float(_rational(im)))
     text = text.strip().replace(" ", "")
     if "i" in text:
         num, _, den = text.partition("/")
         num = num.replace("i", "") or "1"
         if num == "-":
             num = "-1"
-        mag = Fraction(num) / (Fraction(den) if den else 1)
+        mag = _rational(num) / (_rational(den) if den else 1)
         return complex(0, _float(mag))
-    return complex(0, _float(Fraction(text)))
+    return complex(0, _float(_rational(text)))
 
 
 def cmd_modular(args, parser):

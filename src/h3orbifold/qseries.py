@@ -23,11 +23,21 @@ and divides once per coefficient.  ``int`` and ``Fraction`` coefficients of
 equal value compare and print alike, so the output does not depend on which
 one a series holds.  The Burnside oracle ``fock_trace_series`` counts fixed
 monomials directly on their (level, field) index tuples.
+
+Two memos live for the process, and neither holds a series or a verdict:
+``_FIXED_COUNTS`` holds, per weight, the number of monomials each of the six
+permutations of the three fields fixes, made in one pass over the monomials
+of that weight; ``_EULER_ROWS`` holds the ``_euler_product`` row of each
+(D, order, strides).  Both are sound to keep: a count depends only on
+(permutation, weight), a row only on (D, order, strides), and both are
+immutable ints.  Every call still builds a fresh ``FracSeries``, so a
+caller may change the one it gets, and every check still compares.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import floor, lcm
 
 DEFAULT_ORDER = 12
@@ -312,15 +322,25 @@ def character_terms(kind: str, weights=()) -> tuple:
     return 1, ((1, offset, steps),)
 
 
+#: (D, order, strides) -> the ``_euler_product`` row of one character
+#: term, a tuple of ints, kept for the process (see the module docstring)
+_EULER_ROWS: dict = {}
+
+
 def _character(divisor: int, terms, order) -> FracSeries:
     """The series of ``character_terms`` up to the order: one
-    ``_euler_product`` per term on the lattice of every step, one stride per
-    step, the terms summed in ints and divided once, only when the divisor
-    is not 1.  The terms share their offset (see ``character_terms``)."""
+    ``_euler_product`` row per term on the lattice of every step, one stride
+    per step, read from ``_EULER_ROWS``; the terms summed in ints and divided
+    once, only when the divisor is not 1.  The terms share their offset (see
+    ``character_terms``)."""
     D = lcm(*(Fraction(s).denominator for _, _, steps in terms for s in steps))
-    rows = [[mult * c for c in _euler_product(D, order,
-                                              [int(s * D) for s in steps])]
-            for mult, _, steps in terms]
+    rows = []
+    for mult, _, steps in terms:
+        key = (D, order, tuple(int(s * D) for s in steps))
+        row = _EULER_ROWS.get(key)
+        if row is None:
+            row = _EULER_ROWS[key] = tuple(_euler_product(*key))
+        rows.append(row if mult == 1 else [mult * c for c in row])
     offset = terms[0][1]
     return FracSeries(D, offset, {k: t if divisor == 1 else Fraction(t, divisor)
                                   for k, t in enumerate(map(sum, zip(*rows)))
@@ -379,27 +399,52 @@ def w_algebra_free_character(gen_weights, order=DEFAULT_ORDER) -> FracSeries:
     return FracSeries(1, 0, dict(enumerate(coeffs)), order)
 
 
+#: the six permutations of the three fields, as tuples of images
+_FIELD_PERMUTATIONS = tuple(permutations((1, 2, 3)))
+
+#: weight -> the number of weight-w creation monomials fixed by each of
+#: ``_FIELD_PERMUTATIONS``, a tuple of ints in that order, kept for the
+#: process (see the module docstring)
+_FIXED_COUNTS: dict = {}
+
+
+def _fixed_counts(weight: int) -> tuple:
+    """The entry of ``_FIXED_COUNTS`` for the weight, filled by one pass over
+    the monomials that tests each against all six permutations."""
+    counts = _FIXED_COUNTS.get(weight)
+    if counts is None:
+        from .fock import enumerate_basis
+        tally = [0] * len(_FIELD_PERMUTATIONS)
+        for mon in enumerate_basis(3, weight):
+            # canonical order is level descending, field ascending
+            key = [(-level, field) for level, field in mon]
+            for i, images in enumerate(_FIELD_PERMUTATIONS):
+                if sorted((-level, images[field - 1])
+                          for level, field in mon) == key:
+                    tally[i] += 1
+        counts = _FIXED_COUNTS[weight] = tuple(tally)
+    return counts
+
+
 def fock_trace_series(sigma, max_weight: int) -> FracSeries:
     """Direct Fock-space trace of a permutation of the three fields: the
     number of creation monomials of each weight that it maps to themselves.
 
-    The independent oracle for ``burnside_trace``: it enumerates every
-    monomial and uses no product formula.  A monomial is a tuple of (level,
-    field) pairs in canonical order, and it is fixed when its image under
-    ``sigma.images`` re-sorts to the monomial itself; the counts are ints.
-    A permutation of size other than 3 raises ValueError."""
-    from .fock import enumerate_basis
+    The independent oracle for ``burnside_trace``: it counts every monomial
+    and uses no product formula.  A monomial is a tuple of (level, field)
+    pairs in canonical order, and it is fixed when its image under
+    ``sigma.images`` re-sorts to the monomial itself.  The counts of a
+    weight are made once per process for all six permutations
+    (``_FIXED_COUNTS``); every call builds a fresh series of int
+    coefficients from them.  A permutation of size other than 3 raises
+    ValueError."""
     images = sigma.images
     if len(images) != 3:
         raise ValueError(f"permutation of size {len(images)} on rank 3")
+    index = _FIELD_PERMUTATIONS.index(tuple(images))
     coeffs = {}
     for w in range(max_weight + 1):
-        count = 0
-        for mon in enumerate_basis(3, w):
-            # canonical order is level descending, field ascending
-            moved = sorted((-level, images[field - 1]) for level, field in mon)
-            if moved == [(-level, field) for level, field in mon]:
-                count += 1
+        count = _fixed_counts(w)[index]
         if count:
             coeffs[w] = count
     return FracSeries(1, 0, coeffs, max_weight).shift(Fraction(-3, 24))

@@ -1,11 +1,13 @@
 import argparse
 import hashlib
 import json
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from h3orbifold import cli
+from h3orbifold import cli, fock, qseries
 from h3orbifold.cli import build_parser, main
 from h3orbifold.qseries import MAX_SERIES_ORDER
 
@@ -174,8 +176,23 @@ def test_verify_deterministic_output(capsys):
     ["modular", "--tau=1e400i"],
     ["modular", "--tau=0,1e400"],
     ["qdim", "--module", "sgn", "--t-list", "1e400"],
+    ["modular", "--tau=1e400000000i"],
+    ["qdim", "--module", "sgn", "--t-list", "1e400000000"],
+    ["char", "--which=fock", "--weights=1e400000000,0,0"],
+    ["qdim", "--module=fock:1e400000000,0,0"],
 ], ids=lambda argv: " ".join(argv))
-def test_bad_input_exits_with_usage_error(capsys, argv):
+def test_bad_input_exits_with_usage_error(capsys, monkeypatch, argv):
+    real = cli.Fraction
+
+    def fraction(*args):
+        # Fraction expands a decimal exponent into an exact integer, for
+        # hours at 4 * 10^8 digits: the text must be refused before it
+        if args and isinstance(args[0], str):
+            exponent = re.search(r"[eE][-+]?0*(\d+)", args[0])
+            assert not exponent or int(exponent.group(1)[:6]) <= 1000, args
+        return real(*args)
+
+    monkeypatch.setattr(cli, "Fraction", fraction)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -184,6 +201,21 @@ def test_bad_input_exits_with_usage_error(capsys, argv):
     # the usage and the message are the command's, not those of every verb
     assert out.err.startswith(f"usage: h3orb {argv[0]} ")
     assert f"h3orb {argv[0]}: error: " in out.err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e1000", Fraction(10) ** 1000), ("-2E-1000", Fraction(-2, 10 ** 1000)),
+    ("1e0001000", Fraction(10) ** 1000), ("3/4", Fraction(3, 4)),
+    ("1e1001", None), ("1e-1001", None), ("1e1_001", None),
+    ("1e400000000", None), ("1.5e+4000000000000000000000", None),
+])
+def test_rational_caps_the_decimal_exponent(text, value):
+    assert cli.MAX_DECIMAL_EXPONENT == 1000
+    if value is None:
+        with pytest.raises(ValueError, match="exponent"):
+            cli._rational(text)
+    else:
+        assert cli._rational(text) == value
 
 
 @pytest.mark.parametrize("module, message", [
@@ -374,6 +406,34 @@ def test_char_check_fails_on_a_perturbed_trace(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["burnside"] is False
 
+
+
+def test_char_check_fails_on_a_perturbed_fixed_count(capsys, monkeypatch):
+    counts = list(qseries._fixed_counts(2))
+    counts[qseries._FIELD_PERMUTATIONS.index((2, 1, 3))] += 1
+    monkeypatch.setitem(qseries._FIXED_COUNTS, 2, tuple(counts))
+    code, out = run_cli(capsys, "char", "--which=s3", "--order=12", "--check",
+                        "--format=json")
+    assert code == 1
+    assert json.loads(out)["burnside"] is False
+
+
+def test_two_char_checks_enumerate_each_fock_weight_once(capsys, monkeypatch):
+    real = fock.enumerate_basis
+    weights = []
+
+    def counted(rank, weight):
+        weights.append((rank, weight))
+        return real(rank, weight)
+
+    monkeypatch.setattr(qseries, "_FIXED_COUNTS", {})
+    monkeypatch.setattr(fock, "enumerate_basis", counted)
+    for which in ("s3", "fock"):
+        code, out = run_cli(capsys, "char", f"--which={which}", "--order=12",
+                            "--check", "--format=json")
+        assert code == 0
+        assert json.loads(out)["burnside"] is True
+    assert sorted(weights) == [(3, w) for w in range(7)]
 
 
 @pytest.mark.parametrize("which", [

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from h3orbifold import qseries
 from h3orbifold.fock import FockState, enumerate_basis
 from h3orbifold.qseries import (FracSeries, _euler_product, burnside_trace,
                                 character_terms, fock_trace_series,
@@ -74,6 +75,98 @@ def test_index_tuple_oracle_equals_the_act_oracle():
 def test_oracle_rejects_a_permutation_not_of_size_3(images):
     with pytest.raises(ValueError):
         fock_trace_series(Permutation(images), 4)
+
+
+def _per_permutation_trace_series(sigma, max_weight):
+    """The oracle as it was written before the counts were memoised: one
+    enumeration of every weight per permutation."""
+    images = sigma.images
+    coeffs = {}
+    for w in range(max_weight + 1):
+        count = 0
+        for mon in enumerate_basis(3, w):
+            moved = sorted((-level, images[field - 1]) for level, field in mon)
+            if moved == [(-level, field) for level, field in mon]:
+                count += 1
+        if count:
+            coeffs[w] = count
+    return FracSeries(1, 0, coeffs, max_weight).shift(F(-3, 24))
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm"])
+def test_memoised_oracle_equals_the_per_permutation_loop(monkeypatch, memo):
+    if memo == "cold":
+        monkeypatch.setattr(qseries, "_FIXED_COUNTS", {})
+    else:
+        fock_trace_series(GROUPS["S3"][0], 8)
+    assert len(GROUPS["S3"]) == 6
+    for sigma in GROUPS["S3"]:
+        for w in range(9):
+            direct = fock_trace_series(sigma, w)
+            expected = _per_permutation_trace_series(sigma, w)
+            assert direct == expected, (sigma.images, w)
+            assert direct.to_json() == expected.to_json()
+            assert all(type(c) is int for c in direct.coeffs.values())
+    assert all(type(c) is int for counts in qseries._FIXED_COUNTS.values()
+               for c in counts)
+
+
+def test_mutating_an_oracle_series_leaves_the_next_call_unchanged():
+    sigma = GROUPS["S3"][1]
+    series = fock_trace_series(sigma, 6)
+    expected = series.to_json()
+    series.coeffs[2] += 1
+    assert fock_trace_series(sigma, 6).to_json() == expected
+
+
+#: one character per lattice and stride set that another lattice shares:
+#: strides (1,) on D = 1, 2 and 3, (1, 1, 1) for vac and fock, (2, 1) for
+#: the 2-cycle and (1, 2) for theta on D = 2
+_ROW_CHARACTERS = [
+    lambda order: pochhammer_inv(1, order),
+    lambda order: pochhammer_inv(F(1, 2), order),
+    lambda order: pochhammer_inv(F(1, 3), order),
+    lambda order: orbifold_character("S3", order),
+    lambda order: orbifold_character("Z3", order),
+    lambda order: module_character("sgn", order),
+    lambda order: module_character("vac", order),
+    lambda order: module_character("fock", order, (F(1, 2), 0, 1)),
+    lambda order: module_character("theta", order, (F(1, 3), 1)),
+    lambda order: module_character("sigma", order, (F(2, 3),)),
+    lambda order: burnside_trace((2, 1), order),
+]
+
+
+def test_characters_are_the_same_with_a_cold_and_a_warm_row_memo(monkeypatch):
+    cold = []
+    for character in _ROW_CHARACTERS:
+        for order in (0, 7, 30):
+            monkeypatch.setattr(qseries, "_EULER_ROWS", {})
+            cold.append(character(order).to_json())
+    monkeypatch.setattr(qseries, "_EULER_ROWS", {})
+    for _ in range(2):
+        warm = [character(order).to_json()
+                for character in _ROW_CHARACTERS for order in (0, 7, 30)]
+        assert warm == cold
+    # the memo holds immutable rows of ints, one per (D, order, strides)
+    rows = qseries._EULER_ROWS
+    assert rows and all(type(row) is tuple for row in rows.values())
+    assert all(type(c) is int for row in rows.values() for c in row)
+    assert all(len(row) == order * D + 1
+               for (D, order, _), row in rows.items())
+
+
+@pytest.mark.parametrize("character", [
+    lambda: orbifold_character("S3", 12),
+    lambda: orbifold_character("Z3", 12),
+    lambda: module_character("fock", 12, (F(1, 2), F(1, 3), F(1, 4))),
+], ids=["s3", "z3", "fock"])
+def test_mutating_a_character_leaves_the_next_call_unchanged(character):
+    series = character()
+    expected = series.to_json()
+    k = 2 * series.D   # the coefficient of weight 2
+    series.coeffs[k] = series.coeffs.get(k, 0) + 1
+    assert character().to_json() == expected
 
 
 def test_int_and_fraction_coefficients_are_equal():
