@@ -8,7 +8,7 @@ the modular identities and quantum dimensions numerically.
 
 __version__ = "1.0.0"
 
-from .scalars import Scalar, ZETA, parse_scalar
+from .scalars import Scalar, ZETA, parse_rational, parse_scalar
 from .fock import (ALPHA, BETA, DEFAULT_TRUNCATION, FockState, change_basis,
                    enumerate_basis, parse_state)
 from .vertex import (check_borcherds, check_skew_symmetry, conformal_vector,
@@ -25,8 +25,9 @@ from .structure import (DecompositionReport, SpanReport, S3_GENERATOR_IDS,
 from .relations import CATALOG, default_instances, manifest, verify_relation
 from .primaries import (pair_orbifold_primary, s3_primary_vectors,
                         verify_primaries, z3_primary_vectors)
-from .qseries import (FracSeries, burnside_trace, character_terms,
-                      fock_trace_series, module_character, orbifold_character,
-                      pochhammer_inv, twist_weight, w_algebra_free_character)
+from .qseries import (FracSeries, burnside_check, burnside_trace, character,
+                      character_terms, fock_trace_series, module_character,
+                      orbifold_character, pochhammer_inv, twist_weight,
+                      w_algebra_free_character)
 from .modular import (character_value, check_gauss_identity, eta,
                       qdim_estimate)

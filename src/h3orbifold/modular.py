@@ -155,16 +155,19 @@ def _gauss_identity(line, tau, t, tol, quadrature) -> IdentityReport:
 
 
 def _inv_pochhammer_value(q: float, step: float = 1.0) -> float:
-    """prod_{n>=1} (1 - q^(step n))^(-1) numerically."""
+    """prod_{n>=1} (1 - q^(step n))^(-1) numerically, truncated below the
+    floor.  As ``eta``, raises OverflowError when the product leaves the
+    finite range or needs more than MAX_ETA_FACTORS factors."""
     out = 1.0
-    n = 1
-    while True:
+    for n in range(1, MAX_ETA_FACTORS + 1):
         term = q ** (step * n)
         if term < PRODUCT_FLOOR:
-            break
+            return out
         out /= (1.0 - term)
-        n += 1
-    return out
+        if not math.isfinite(out):
+            raise OverflowError("Euler product left the finite range")
+    raise OverflowError(f"Euler product needs more than {MAX_ETA_FACTORS} "
+                        "factors")
 
 
 def character_value(kind: str, t: float, weights=()) -> float:

@@ -5,7 +5,8 @@ complete for exponents up to a stated truncation order.  Every character is
 defined once, as a table of Euler-product terms (``character_terms``): the
 exact series expand each term with ``_euler_product``,
 ``modular.character_value`` evaluates the same terms in floats, and
-``h3orb char --check`` class-averages the direct traces with them.
+``burnside_check`` (``h3orb char --check``) class-averages the direct
+traces with them.
 
 ``_euler_product`` divides by Euler's pentagonal series
 prod_{n>=1} (1 - x^n) = sum_{j in Z} (-1)^j x^(j(3j-1)/2) (Andrews, *The
@@ -448,3 +449,60 @@ def fock_trace_series(sigma, max_weight: int) -> FracSeries:
         if count:
             coeffs[w] = count
     return FracSeries(1, 0, coeffs, max_weight).shift(Fraction(-3, 24))
+
+
+#: the ``h3orb char --which`` names of the orbifold characters
+_GROUP_NAMES = {"s3": "S3", "z3": "Z3"}
+
+
+def _named_terms(which: str, weights) -> tuple:
+    """``character_terms`` of a ``char --which`` name other than "w-free";
+    a module with highest weights takes zeros when none are given."""
+    kind = _GROUP_NAMES.get(which, which)
+    if not weights and kind in _HIGHEST_WEIGHT_DATA:
+        weights = (0,) * _HIGHEST_WEIGHT_DATA[kind][0]
+    return character_terms(kind, weights)
+
+
+def character(which: str, order=DEFAULT_ORDER, weights=()) -> FracSeries:
+    """The series ``h3orb char --which`` prints: "s3" and "z3" the orbifold
+    characters, "w-free" ``w_algebra_free_character`` of one or more
+    weights, and any other name the kind of ``character_terms``, a module
+    with highest weights at zero weights when none are given.  An unknown
+    name or a wrong list of weights raises ValueError."""
+    if which == "w-free":
+        if not weights:
+            raise ValueError("w-free takes one or more generator weights")
+        return w_algebra_free_character(weights, order)
+    return _character(*_named_terms(which, weights), order)
+
+
+def burnside_check(which: str, series: FracSeries, order, weights=()) -> bool:
+    """The verdict of ``h3orb char --check`` on the series ``character``
+    gave for (which, order, weights), passed in and not recomputed.
+
+    Up to weight min(order, 6), the direct trace ``fock_trace_series`` of
+    each permutation of S3 must equal ``burnside_trace`` of its cycle type.
+    When every term of the character has a cycle type for its steps, the
+    series must also equal the direct traces class-averaged with the terms:
+    a direct trace holds q^(-|steps|/24), the term q^offset."""
+    from .symmetry import GROUPS
+    top = min(order, 6)
+    ok = True
+    traces: dict = {}
+    for sigma in GROUPS["S3"]:
+        direct = fock_trace_series(sigma, top)
+        if direct != burnside_trace(sigma.cycle_type(), top):
+            ok = False
+        traces.setdefault(sigma.cycle_type(), []).append(direct)
+    if which == "w-free":
+        return ok
+    divisor, terms = _named_terms(which, weights)
+    if all(steps in traces for _, _, steps in terms):
+        parts = [direct.scale(Fraction(mult, divisor * len(traces[steps])))
+                 .shift(offset + Fraction(sum(steps), 24))
+                 for mult, offset, steps in terms
+                 for direct in traces[steps]]
+        if series != sum(parts[1:], parts[0]):
+            ok = False
+    return ok

@@ -8,10 +8,35 @@ rational, so the two kinds mix freely inside state coefficients.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+#: largest decimal exponent a rational in text may carry ("1e1000"); a
+#: larger one is refused on the text, since ``Fraction`` expands it into an
+#: exact integer before any range check (seconds at 10^6 digits)
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), the one reader of rationals in text.  ValueError on
+    malformed text, a zero denominator, or a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT in size, found on the text before Fraction sees
+    it."""
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or \
+                int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"exponent in {text!r} beyond "
+                             f"{MAX_DECIMAL_EXPONENT} in size")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def _as_fraction(x) -> Fraction:
@@ -20,7 +45,7 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_rational(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
@@ -150,7 +175,8 @@ ZETA = Scalar(0, 1)
 def parse_scalar(text: str) -> Scalar:
     """Parse "a + b*z" style input; bare "z" is accepted for the root.
 
-    Malformed text, a zero denominator included, raises ValueError.
+    Each coefficient is read by ``parse_rational``; malformed text raises
+    ValueError.
     """
     s = text.replace(" ", "")
     if not s:
@@ -175,10 +201,7 @@ def parse_scalar(text: str) -> Scalar:
         is_z = body.endswith("z")
         if is_z:
             body = body[:-1].rstrip("*")
-        try:
-            coef = _ONE if is_z and body == "" else Fraction(body)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in {text!r}") from exc
+        coef = _ONE if is_z and body == "" else parse_rational(body)
         if is_z:
             b += -coef if neg else coef
         else:

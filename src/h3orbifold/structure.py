@@ -281,8 +281,8 @@ class SpanReport:
 
 def _target_dims(group: str, max_weight: int) -> dict:
     from .qseries import orbifold_character
-    ch = orbifold_character(group, max_weight)
-    return {w: int(ch.coefficient(ch.offset + w)) for w in range(max_weight + 1)}
+    return dict(enumerate(int(c) for c in orbifold_character(group, max_weight)
+                          .integer_slice(max_weight + 1)))
 
 
 def _label(mon, max_weight: int) -> int:

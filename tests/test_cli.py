@@ -2,12 +2,13 @@ import argparse
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from h3orbifold import cli, fock, qseries
+from h3orbifold import cli, fock, qseries, scalars
 from h3orbifold.cli import build_parser, main
 from h3orbifold.qseries import MAX_SERIES_ORDER
 
@@ -143,6 +144,23 @@ def test_verify_deterministic_output(capsys):
     assert out1 == out2
 
 
+@pytest.fixture
+def refuse_big_exponents(monkeypatch):
+    """``Fraction`` in ``scalars``, the one module that reads rationals in
+    text, fails at once on text with a decimal exponent beyond 1000."""
+    real = scalars.Fraction
+
+    def fraction(*args):
+        # Fraction expands a decimal exponent into an exact integer, for
+        # hours at 4 * 10^8 digits: the text must be refused before it
+        if args and isinstance(args[0], str):
+            exponent = re.search(r"[eE][-+]?0*(\d+)", args[0])
+            assert not exponent or int(exponent.group(1)[:6]) <= 1000, args
+        return real(*args)
+
+    monkeypatch.setattr(scalars, "Fraction", fraction)
+
+
 @pytest.mark.parametrize("argv", [
     ["product", "--u", "a1", "--n", "-1", "--v", "a1(-1)"],
     ["product", "--u", "3/0*a1(-1)", "--n", "-1", "--v", "a1(-1)"],
@@ -180,19 +198,13 @@ def test_verify_deterministic_output(capsys):
     ["qdim", "--module", "sgn", "--t-list", "1e400000000"],
     ["char", "--which=fock", "--weights=1e400000000,0,0"],
     ["qdim", "--module=fock:1e400000000,0,0"],
+    ["product", "--u", "(1e5000)*a1(-1)", "--n", "1", "--v", "a1(-1)"],
+    ["product", "--u", "(1e400000000)*a1(-1)", "--n", "1", "--v", "a1(-1)"],
+    # the Euler products overflow within a few dozen factors
+    ["qdim", "--module", "sgn", "--t-list", "1e-6,5e-7"],
+    ["qdim", "--module", "sgn", "--t-list", "1e-9,5e-10"],
 ], ids=lambda argv: " ".join(argv))
-def test_bad_input_exits_with_usage_error(capsys, monkeypatch, argv):
-    real = cli.Fraction
-
-    def fraction(*args):
-        # Fraction expands a decimal exponent into an exact integer, for
-        # hours at 4 * 10^8 digits: the text must be refused before it
-        if args and isinstance(args[0], str):
-            exponent = re.search(r"[eE][-+]?0*(\d+)", args[0])
-            assert not exponent or int(exponent.group(1)[:6]) <= 1000, args
-        return real(*args)
-
-    monkeypatch.setattr(cli, "Fraction", fraction)
+def test_bad_input_exits_with_usage_error(capsys, refuse_big_exponents, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -209,13 +221,30 @@ def test_bad_input_exits_with_usage_error(capsys, monkeypatch, argv):
     ("1e1001", None), ("1e-1001", None), ("1e1_001", None),
     ("1e400000000", None), ("1.5e+4000000000000000000000", None),
 ])
-def test_rational_caps_the_decimal_exponent(text, value):
-    assert cli.MAX_DECIMAL_EXPONENT == 1000
+def test_rational_caps_the_decimal_exponent(refuse_big_exponents, text, value):
+    assert scalars.MAX_DECIMAL_EXPONENT == 1000
     if value is None:
         with pytest.raises(ValueError, match="exponent"):
-            cli._rational(text)
+            scalars.parse_rational(text)
     else:
-        assert cli._rational(text) == value
+        assert scalars.parse_rational(text) == value
+
+
+@pytest.mark.skipif(
+    not 4000 <= getattr(sys, "get_int_max_str_digits", lambda: 0)() < 7999,
+    reason="needs a limit on int-to-str digits between 4000 and 7998")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_product_too_long_to_print_is_a_usage_error(capsys, fmt):
+    # each coefficient prints, their 8000-digit product does not
+    u = f"({'9' * 4000})*a1(-1)"
+    with pytest.raises(SystemExit) as exc:
+        main(["product", "--u", u, "--n", "1", "--v", u, f"--format={fmt}"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    message = out.err.splitlines()[-1]
+    assert message.startswith("h3orb product: error: ")
+    assert "Traceback" not in out.err
 
 
 @pytest.mark.parametrize("module, message", [
@@ -389,7 +418,7 @@ def test_char_at_the_largest_order_is_pinned(capsys, key):
 
 
 def test_char_check_fails_on_a_perturbed_trace(capsys, monkeypatch):
-    real = cli.burnside_trace
+    real = qseries.burnside_trace
 
     def perturbed(cycle_type, order):
         series = real(cycle_type, order)
@@ -397,7 +426,7 @@ def test_char_check_fails_on_a_perturbed_trace(capsys, monkeypatch):
             series.coeffs[2] += 1
         return series
 
-    monkeypatch.setattr(cli, "burnside_trace", perturbed)
+    monkeypatch.setattr(qseries, "burnside_trace", perturbed)
     code, out = run_cli(capsys, "char", "--which=s3", "--order=12", "--check")
     assert code == 1
     assert "burnside cross-check: FAIL" in out
@@ -449,10 +478,7 @@ def test_char_check_fails_on_a_perturbed_printed_series(capsys, monkeypatch,
             return series
         return character
 
-    monkeypatch.setattr(cli, "orbifold_character",
-                        perturbed(cli.orbifold_character))
-    monkeypatch.setattr(cli, "module_character",
-                        perturbed(cli.module_character))
+    monkeypatch.setattr(cli, "character", perturbed(cli.character))
     which, *extra = which.split()
     argv = ["char", f"--which={which}", *extra, "--order=12", "--check"]
     code, out = run_cli(capsys, *argv)

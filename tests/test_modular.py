@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from h3orbifold import modular
 from h3orbifold.modular import (character_value, check_gauss_identity, eta,
                                 qdim_estimate)
 
@@ -25,6 +26,23 @@ def test_eta_bounds_its_factor_count():
         eta(1e-20j)
     with pytest.raises(OverflowError):
         eta(1e-8j)
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-9])
+def test_euler_product_values_stop_at_overflow(t):
+    # the product leaves the float range within a few dozen factors, where
+    # the floor would take 69 / (2 pi t) of them
+    with pytest.raises(OverflowError, match="finite range"):
+        modular._inv_pochhammer_value(math.exp(-2 * math.pi * t))
+
+
+def test_euler_product_values_bound_their_factor_count(monkeypatch):
+    q = math.exp(-2 * math.pi)
+    value = modular._inv_pochhammer_value(q, 1 / 3)
+    assert math.isfinite(value) and value > 1
+    monkeypatch.setattr(modular, "MAX_ETA_FACTORS", 10)
+    with pytest.raises(OverflowError, match="more than 10 factors"):
+        modular._inv_pochhammer_value(q, 1 / 3)
 
 
 def test_eta_functional_equation():

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from h3orbifold import qseries
 from h3orbifold.fock import FockState, enumerate_basis
-from h3orbifold.qseries import (FracSeries, _euler_product, burnside_trace,
-                                character_terms, fock_trace_series,
+from h3orbifold.qseries import (FracSeries, _euler_product, burnside_check,
+                                burnside_trace, character, character_terms,
+                                fock_trace_series,
                                 module_character, orbifold_character,
                                 pochhammer_inv, twist_weight,
                                 w_algebra_free_character)
@@ -384,3 +385,22 @@ def test_series_json_shape():
     data = s.to_json()
     assert set(data) == {"D", "offset", "order", "coeffs"}
     assert data["offset"] == "-1/8"
+
+
+@pytest.mark.parametrize("which, weights, expected", [
+    ("s3", (), lambda order: orbifold_character("S3", order)),
+    ("z3", (), lambda order: orbifold_character("Z3", order)),
+    ("sgn", (), lambda order: module_character("sgn", order)),
+    ("vac", (), lambda order: burnside_trace((1, 1, 1), order)),
+    ("fock", (), lambda order: module_character("fock", order, (0, 0, 0))),
+    ("theta", (), lambda order: module_character("theta", order, (0, 0))),
+    ("sigma", (), lambda order: module_character("sigma", order, (0,))),
+    ("sigma", (F(1, 3),),
+     lambda order: module_character("sigma", order, (F(1, 3),))),
+    ("w-free", (1, 2, 3),
+     lambda order: w_algebra_free_character((1, 2, 3), order)),
+])
+def test_character_of_each_char_name(which, weights, expected):
+    series = character(which, 10, weights)
+    assert series.to_json() == expected(10).to_json()
+    assert burnside_check(which, series, 10, weights)

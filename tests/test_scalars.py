@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from h3orbifold.scalars import Scalar, ZETA, parse_scalar
+from h3orbifold.scalars import (MAX_DECIMAL_EXPONENT, Scalar, ZETA,
+                                parse_rational, parse_scalar)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -96,3 +97,33 @@ def test_str_forms():
     assert str(Scalar(0, 1)) == "z"
     assert str(Scalar(F(3, 2))) == "3/2"
     assert str(Scalar(F(1, 2), F(-2, 3))) == "1/2 - 2/3*z"
+
+
+#: every form of rational text that ``parse_rational`` reads
+RATIONAL_TEXTS = ["3/4", "-2E-1000", "1e0001000", "1_000", "1.5", "-7",
+                  "1e1000", "2.5e+3", "-0"]
+
+
+@pytest.mark.parametrize("text", RATIONAL_TEXTS)
+def test_parse_rational_reads_as_fraction_does(text):
+    assert parse_rational(text) == F(text)
+    assert Scalar(text) == F(text)
+
+
+@pytest.mark.parametrize("text, a, b", [
+    ("1.5 - 3/4*z", "1.5", "-3/4"), ("1_000z", "0", "1_000"),
+    ("1e0001000 + 2.5e3*z", "1e0001000", "2.5e3"), ("-z", "0", "-1"),
+])
+def test_parse_scalar_reads_each_part_as_fraction_does(text, a, b):
+    assert parse_scalar(text) == Scalar(F(a), F(b))
+
+
+# each text is cheap to expand, so a reader without the cap returns at once;
+# parse_scalar splits its text at a sign, so its exponents carry none
+@pytest.mark.parametrize("text", ["1e1001", "1E1_001", "2.5e2000"])
+def test_scalar_readers_refuse_an_exponent_past_the_cap(text):
+    assert MAX_DECIMAL_EXPONENT == 1000
+    for read, arg in ((Scalar, text), (parse_scalar, text),
+                      (parse_scalar, f"{text}*z"), (parse_scalar, f"1 - {text}z")):
+        with pytest.raises(ValueError, match="exponent"):
+            read(arg)
