@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import chain, groupby, product
 from math import lcm
 
+from .symmetry import FAMILIES
+
 
 class CPoly:
     """Sparse multivariate polynomial over Q.
@@ -118,22 +120,17 @@ def cpoly_polarization(k: int, slots, rank: int = 3) -> CPoly:
 
 def _q0_codes(k: int, slots, base: int) -> tuple:
     """The monomials of the diagonalized generator ``q0(k, slots)``, each a
-    tuple of variable codes, y_i(m) coded i * base + m; every coefficient is
-    1.  ``q0`` and ``cpoly_relation`` both read the generators from here."""
+    tuple of variable codes, y_i(m) coded i * base + m, one per field pattern
+    of ``symmetry.FAMILIES["omega{k}_0"]``; every coefficient is 1.  ``q0``
+    and ``cpoly_relation`` both read the generators from here."""
     if len(slots) != k:
         raise ValueError(f"expected {k} slots, got {len(slots)}")
     if min(slots, default=0) < 0:
         raise ValueError("slots must be >= 0")
-    if k == 1:
-        return ((base + slots[0],),)
-    if k == 2:
-        a, b = slots
-        return ((2 * base + a, 3 * base + b), (3 * base + a, 2 * base + b))
-    if k == 3:
-        a, b, c = slots
-        return ((2 * base + a, 2 * base + b, 2 * base + c),
-                (3 * base + a, 3 * base + b, 3 * base + c))
-    raise ValueError("k must be 1, 2 or 3")
+    if k not in (1, 2, 3):
+        raise ValueError("k must be 1, 2 or 3")
+    return tuple(tuple(f * base + m for f, m in zip(fields, slots))
+                 for fields in FAMILIES[f"omega{k}_0"][1])
 
 
 def _decode(key: tuple, base: int) -> tuple:
@@ -210,7 +207,13 @@ _D5C_TERMS = [
 ]
 
 RELATION_TERMS = {"D6C1": _D6C1_TERMS, "D6C2": _D6C2_TERMS, "D5C": _D5C_TERMS}
-_RELATION_ARITY = {"D6C1": 6, "D6C2": 6, "D5C": 5}
+
+
+def relation_arity(rel: str) -> int:
+    """How many indices the relation family rel takes: one past the largest
+    slot position in its terms."""
+    return 1 + max(p for _, factors in RELATION_TERMS[rel]
+                   for _, pos in factors for p in pos)
 
 
 def cpoly_relation(rel: str, multi_index) -> CPoly:
@@ -236,8 +239,8 @@ def cpoly_relation(rel: str, multi_index) -> CPoly:
     if terms is None:
         raise ValueError(f"unknown relation family {rel!r}")
     idx = tuple(multi_index)
-    if len(idx) != _RELATION_ARITY[rel]:
-        raise ValueError(f"{rel} takes {_RELATION_ARITY[rel]} indices")
+    if len(idx) != relation_arity(rel):
+        raise ValueError(f"{rel} takes {relation_arity(rel)} indices")
     base = max(idx, default=0) + 1
     expanded = []
     for coeff, factors in terms:

@@ -15,11 +15,12 @@ descending then field ascending; the empty tuple is the vacuum.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Tuple, Union
 
-from .scalars import ZETA, Scalar, parse_scalar
+from .scalars import ZETA, Scalar, parse_scalar, split_terms
 
 Monomial = Tuple[Tuple[int, int], ...]
 Coeff = Union[Fraction, Scalar]
@@ -339,86 +340,62 @@ def change_basis(state: FockState, target: str) -> FockState:
 # -- text parsing -------------------------------------------------------------
 
 
+#: a term, signs removed: its coefficient part, then its modes, which start
+#: at the first mode tag, or "1" for the vacuum after "*", "z" or ")"
+_TERM = re.compile(r"([^ab]*?)(?:(?<=[*z)])1|([ab].*))?", re.S)
+#: one creation mode: tag, field and level, as ``int`` reads the numbers
+_MODE = re.compile(r"([ab])(\d+)\((\s*[-+]?\d+(?:_\d+)*\s*)\)")
+
+
+def _read_coefficient(part: str) -> Coeff:
+    """The coefficient before a term's modes: 1 for empty text, else a scalar
+    for ``parse_scalar``: bare, "(scalar)" or "(scalar)z", "*" after any part."""
+    if part.startswith("*"):
+        raise ValueError("nothing before '*'")
+    part = part.rstrip("*")
+    if not part.startswith("("):
+        return parse_scalar(part) if part else Fraction(1)
+    inner, close, rest = part[1:].partition(")")
+    if not close or rest.lstrip("*") not in ("", "z"):
+        raise ValueError("expected '(scalar)', then 'z' or nothing")
+    return parse_scalar(inner) * (ZETA if rest else 1)
+
+
 def parse_state(text: str, rank: int = 3, basis: str | None = None) -> FockState:
     """Parse states like "(3/2)*a1(-2)a1(-1) + (1+z)*b2(-1)b3(-1)".
 
     The basis is inferred from the mode tags; pure-scalar text carries no tag,
-    so an explicit basis may be supplied for that case.  A coefficient is a
-    parenthesized scalar or a rational, either optionally followed by "z"
-    (as ``str`` prints "2*z*b1(-1)").  Malformed text raises ValueError.
+    so an explicit basis may be supplied for that case.  Each term from
+    ``scalars.split_terms`` is signs, a coefficient (``_read_coefficient``;
+    ``str`` prints "2*z*b1(-1)") and modes or "1".  ValueError on bad text.
     """
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty state")
-    terms = []
-    depth = 0
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "+-*/(":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-
-    basis_seen = basis
+    tags = {basis} if basis else set()
     parsed = []
-    for term in terms:
-        if not term:
-            continue
-        sign = Fraction(1)
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        coeff: Coeff = Fraction(1)
-        if term.startswith("("):
-            close = term.index(")")
-            coeff = parse_scalar(term[1:close])
-            term = term[close + 1:].lstrip("*")
-        elif term and term[0].isdigit():
-            j = 0
-            while j < len(term) and (term[j].isdigit() or term[j] == "/"):
-                j += 1
-            coeff = parse_scalar(term[:j])
-            term = term[j:].lstrip("*")
-        if term.startswith("z"):
-            coeff = coeff * ZETA
-            term = term[1:].lstrip("*")
-        if term == "1" or term == "":
-            modes: list = []
-            term = ""
-        else:
-            modes = []
-            while term:
-                tag = term[0]
-                if tag not in (ALPHA, BETA):
-                    raise ValueError(f"bad mode tag in {text!r}")
-                if basis_seen is None:
-                    basis_seen = tag
-                elif basis_seen != tag:
-                    raise ValueError("mixed mode bases in one state")
-                j = 1
-                while j < len(term) and term[j].isdigit():
-                    j += 1
-                if not term.startswith("(", j):
-                    raise ValueError(f"expected '(' in {text!r}")
-                field = int(term[1:j])
-                if not 1 <= field <= rank:
-                    raise ValueError(f"field index {field} outside rank {rank}")
-                close = term.index(")", j)
-                level = int(term[j + 1:close])
-                if level >= 0:
-                    raise ValueError("creation modes must have negative level")
-                modes.append((-level, field))
-                term = term[close + 1:]
-        parsed.append((modes, sign * coeff))
-
-    out = FockState(rank, basis_seen or ALPHA)
+    for term in split_terms(text, "state"):
+        body = term.lstrip("+-")
+        coeff_part, mode_text = _TERM.fullmatch(body).groups(default="")
+        try:
+            coeff = _read_coefficient(coeff_part)
+        except ValueError as exc:
+            raise ValueError(f"bad coefficient {coeff_part!r} in {text!r}: "
+                             f"{exc}") from None
+        if term[:len(term) - len(body)].count("-") % 2:
+            coeff = -coeff
+        if _MODE.sub("", mode_text):
+            raise ValueError(f"bad modes {mode_text!r} in {text!r}")
+        modes = []
+        for tag, field, level in _MODE.findall(mode_text):
+            tags.add(tag)
+            if len(tags) > 1:
+                raise ValueError(f"mixed mode bases in {text!r}")
+            field, level = int(field), int(level)
+            if not 1 <= field <= rank:
+                raise ValueError(f"field index {field} outside rank {rank}")
+            if level >= 0:
+                raise ValueError("creation modes must have negative level")
+            modes.append((-level, field))
+        parsed.append((canonical(modes), _normalize_coeff(coeff)))
+    out = FockState(rank, min(tags, default=ALPHA))
     for modes, c in parsed:
-        out._add_term(canonical(modes), _normalize_coeff(c))
+        out._add_term(modes, c)
     return out

@@ -192,6 +192,11 @@ def character_value(kind: str, t: float, weights=()) -> float:
     return total / divisor
 
 
+#: the untwisted modules' quantum dimensions, and a pass's relative tolerance
+QDIM_EXPECTED = {"fock": 6.0, "orb": 1.0, "sgn": 1.0, "st": 2.0}
+QDIM_REL_TOL = 0.01
+
+
 @dataclass
 class QdimReport:
     module: str
@@ -200,6 +205,13 @@ class QdimReport:
     classification: str
     limit_estimate: float | None = None
     growth_exponent: float | None = None
+    expected: float | None = None   # QDIM_EXPECTED's value for a finite limit
+
+    @property
+    def passed(self) -> bool:
+        """No expected value, or a limit estimate within QDIM_REL_TOL of it."""
+        return self.expected is None or \
+            abs(self.limit_estimate - self.expected) <= QDIM_REL_TOL * self.expected
 
     def to_json(self) -> dict:
         return {
@@ -249,4 +261,4 @@ def qdim_estimate(kind: str, t_list, weights=()) -> QdimReport:
     log_limit = yb - tb * (ya - yb) / (ta - tb)
     return QdimReport(name, t_desc, ratios, "finite",
                       limit_estimate=math.exp(log_limit),
-                      growth_exponent=slope)
+                      growth_exponent=slope, expected=QDIM_EXPECTED.get(kind))

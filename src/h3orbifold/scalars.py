@@ -19,6 +19,9 @@ _ONE = Fraction(1)
 #: exact integer before any range check (seconds at 10^6 digits)
 MAX_DECIMAL_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]*)")
+#: where a + or - is joined to what precedes it: after an operator or "(",
+#: or in a number's exponent ("2.5e-3")
+_JOINED_SIGN = re.compile(r"(?<=[-+*/(])|(?<=[\d.][eE])")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -172,38 +175,41 @@ def _coerce(x):
 ZETA = Scalar(0, 1)
 
 
+def split_terms(text: str, what: str = "scalar") -> list:
+    """The terms of text, spaces removed, each with its leading signs: the
+    text is cut at each + or - outside parentheses that follows neither an
+    operator (+ - * / or "(") nor the e or E of a number's exponent
+    ("2.5e-3").  ValueError on empty text or unbalanced parentheses."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError(f"empty {what}")
+    terms = []
+    start = depth = 0
+    for i, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+        if ch in "+-" and depth == 0 and i and not _JOINED_SIGN.match(s, i):
+            terms.append(s[start:i])
+            start = i
+    if depth:
+        raise ValueError(f"unbalanced parentheses in {what} {text!r}")
+    terms.append(s[start:])
+    return terms
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse "a + b*z" style input; bare "z" is accepted for the root.
 
-    Each coefficient is read by ``parse_rational``; malformed text raises
-    ValueError.
+    Each term from ``split_terms`` takes its sign from its first character,
+    and its number is read by ``parse_rational``.  ValueError on bad text.
     """
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar")
-    # split into signed chunks
-    chunks = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-/*(":
-            chunks.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    chunks.append(cur)
-    a = _ZERO
-    b = _ZERO
-    for chunk in chunks:
-        if not chunk:
-            continue
-        neg = chunk.startswith("-")
-        body = chunk.lstrip("+-")
+    parts = [_ZERO, _ZERO]   # a, b
+    for term in split_terms(text):
+        body = term.lstrip("+-")
         is_z = body.endswith("z")
         if is_z:
             body = body[:-1].rstrip("*")
         coef = _ONE if is_z and body == "" else parse_rational(body)
-        if is_z:
-            b += -coef if neg else coef
-        else:
-            a += -coef if neg else coef
-    return Scalar(a, b)
+        parts[is_z] += -coef if term.startswith("-") else coef
+    return Scalar(*parts)

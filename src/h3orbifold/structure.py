@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .classical import RELATION_TERMS
+from .classical import RELATION_TERMS, relation_arity
 from .fock import BETA, FockState
 from .linalg import Echelon, SolverBasis, _integral, _primitive, det_bareiss
 from .symmetry import GeneratorId, build_generator, gen, is_invariant
@@ -36,7 +36,7 @@ def _nested_product(basis: str, forms) -> tuple:
     return (den, *x)
 
 
-_D_FAMILY = {"D6_1": ("D6C1", 6), "D6_2": ("D6C2", 6), "D5": ("D5C", 5)}
+_D_FAMILY = {"D6_1": "D6C1", "D6_2": "D6C2", "D5": "D5C"}
 
 
 @lru_cache(maxsize=None)
@@ -54,10 +54,10 @@ def build_D(rel: str, multi_index) -> FockState:
     The factors are read from ``_diagonal_generator`` and only read: the
     nested products and the sum over the terms form new dicts, and the
     state returned holds no dict of the table."""
-    info = _D_FAMILY.get(rel)
-    if info is None:
+    classical_name = _D_FAMILY.get(rel)
+    if classical_name is None:
         raise ValueError(f"unknown expression family {rel!r}")
-    classical_name, arity = info
+    arity = relation_arity(classical_name)
     idx = tuple(multi_index)
     if len(idx) != arity:
         raise ValueError(f"{rel} takes {arity} indices, got {len(idx)}")

@@ -112,9 +112,10 @@ def test_q0_equals_the_variable_products():
 
 
 def test_q0_has_the_monomials_of_the_diagonal_generator():
-    # classical._q0_codes is written out by hand; it must be the commutative
-    # shadow of symmetry.FAMILIES: y_f(m) for each mode of level m + 1 on
-    # field f of omega{k}_0, with the same coefficients
+    # classical._q0_codes reads the field patterns of symmetry.FAMILIES; q0
+    # must be the commutative shadow of the generator gen builds: y_f(m) for
+    # each mode of level m + 1 on field f of omega{k}_0, with the same
+    # coefficients
     from h3orbifold.symmetry import gen
     for k in (1, 2, 3):
         for slots in itertools.product(range(4), repeat=k):

@@ -110,6 +110,18 @@ def test_qdim_command(capsys):
     assert abs(data["growth_exponent"] + 0.5) < 0.05
 
 
+def test_qdim_fails_a_limit_outside_one_percent_of_its_expected_value(capsys):
+    # at t = 2 and 1 the Fock ratio is still near 1, so its estimate is not 6
+    argv = ("qdim", "--module=fock:0,0,0", "--t-list=1,2")
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[-2:] == ["  extrapolated limit: 1.007505",
+                                     "  expected 6.0: FAIL"]
+    code, out = run_cli(capsys, *argv, "--format=json")
+    assert code == 1
+    assert json.loads(out)["classification"] == "finite"
+
+
 def test_modular_command(capsys):
     for tau in ("i", "i/2", "2i"):
         code, out = run_cli(capsys, "modular", "--tau", tau, "--format", "json")

@@ -113,14 +113,19 @@ def test_parse_rational_reads_as_fraction_does(text):
 @pytest.mark.parametrize("text, a, b", [
     ("1.5 - 3/4*z", "1.5", "-3/4"), ("1_000z", "0", "1_000"),
     ("1e0001000 + 2.5e3*z", "1e0001000", "2.5e3"), ("-z", "0", "-1"),
+    ("1e-5 - 2E+1z", "1e-5", "-2E+1"),
 ])
 def test_parse_scalar_reads_each_part_as_fraction_does(text, a, b):
     assert parse_scalar(text) == Scalar(F(a), F(b))
 
 
-# each text is cheap to expand, so a reader without the cap returns at once;
-# parse_scalar splits its text at a sign, so its exponents carry none
-@pytest.mark.parametrize("text", ["1e1001", "1E1_001", "2.5e2000"])
+def test_parse_scalar_reads_a_signed_exponent():
+    assert parse_scalar("2.5e+3*z") == Scalar(0, 2500)
+
+
+# each text is cheap to expand, so a reader without the cap returns at once
+@pytest.mark.parametrize("text", ["1e1001", "1E1_001", "2.5e2000", "1e+1001",
+                                  "2.5e-2000"])
 def test_scalar_readers_refuse_an_exponent_past_the_cap(text):
     assert MAX_DECIMAL_EXPONENT == 1000
     for read, arg in ((Scalar, text), (parse_scalar, text),
