@@ -366,20 +366,20 @@ def parse_state(text: str, rank: int = 3, basis: str | None = None) -> FockState
 
     The basis is inferred from the mode tags; pure-scalar text carries no tag,
     so an explicit basis may be supplied for that case.  Each term from
-    ``scalars.split_terms`` is signs, a coefficient (``_read_coefficient``;
-    ``str`` prints "2*z*b1(-1)") and modes or "1".  ValueError on bad text.
+    ``scalars.split_terms`` is a sign and a body: a coefficient
+    (``_read_coefficient``; ``str`` prints "2*z*b1(-1)") and modes or "1".
+    ValueError on bad text.
     """
     tags = {basis} if basis else set()
     parsed = []
-    for term in split_terms(text, "state"):
-        body = term.lstrip("+-")
+    for negative, body in split_terms(text, "state"):
         coeff_part, mode_text = _TERM.fullmatch(body).groups(default="")
         try:
             coeff = _read_coefficient(coeff_part)
         except ValueError as exc:
             raise ValueError(f"bad coefficient {coeff_part!r} in {text!r}: "
                              f"{exc}") from None
-        if term[:len(term) - len(body)].count("-") % 2:
+        if negative:
             coeff = -coeff
         if _MODE.sub("", mode_text):
             raise ValueError(f"bad modes {mode_text!r} in {text!r}")

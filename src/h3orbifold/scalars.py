@@ -176,40 +176,46 @@ ZETA = Scalar(0, 1)
 
 
 def split_terms(text: str, what: str = "scalar") -> list:
-    """The terms of text, spaces removed, each with its leading signs: the
+    """The terms of text, spaces removed, as (negative, body) pairs: the
     text is cut at each + or - outside parentheses that follows neither an
     operator (+ - * / or "(") nor the e or E of a number's exponent
-    ("2.5e-3").  ValueError on empty text or unbalanced parentheses."""
+    ("2.5e-3"); a term's sign is the parity of the - signs among its
+    leading signs ("--1" is 1), and its body is the rest.  ValueError on
+    empty text, unbalanced parentheses or a term of signs alone ("1+")."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError(f"empty {what}")
-    terms = []
-    start = depth = 0
+    cuts = []
+    depth = 0
     for i, ch in enumerate(s):
         depth += (ch == "(") - (ch == ")")
         if depth < 0:
             break
         if ch in "+-" and depth == 0 and i and not _JOINED_SIGN.match(s, i):
-            terms.append(s[start:i])
-            start = i
+            cuts.append(i)
     if depth:
         raise ValueError(f"unbalanced parentheses in {what} {text!r}")
-    terms.append(s[start:])
+    terms = []
+    for start, end in zip([0] + cuts, cuts + [len(s)]):
+        term = s[start:end]
+        body = term.lstrip("+-")
+        if not body:
+            raise ValueError(f"a term of signs alone in {what} {text!r}")
+        terms.append((term[:len(term) - len(body)].count("-") % 2 == 1, body))
     return terms
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse "a + b*z" style input; bare "z" is accepted for the root.
 
-    Each term from ``split_terms`` takes its sign from its first character,
-    and its number is read by ``parse_rational``.  ValueError on bad text.
+    Each term from ``split_terms`` is read by ``parse_rational``, with a
+    trailing "z" or "*z" for the root.  ValueError on bad text.
     """
     parts = [_ZERO, _ZERO]   # a, b
-    for term in split_terms(text):
-        body = term.lstrip("+-")
+    for negative, body in split_terms(text):
         is_z = body.endswith("z")
         if is_z:
             body = body[:-1].rstrip("*")
         coef = _ONE if is_z and body == "" else parse_rational(body)
-        parts[is_z] += -coef if term.startswith("-") else coef
+        parts[is_z] += -coef if negative else coef
     return Scalar(*parts)

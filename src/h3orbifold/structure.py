@@ -373,6 +373,54 @@ def _close(states, max_weight: int, basis: str, ordered: bool) -> dict:
     return {w: e.rank for w, e in enumerate(echelons)}
 
 
+#: the monomial b1(-1)
+_B1 = ((1, 1),)
+
+
+def _field1_free_rest(states, basis: str):
+    """The states other than the rational multiples of b1(-1), if the basis
+    is ``b``, at least one state is such a multiple and no other state has
+    a mode of field 1; else None.  See ``span_dims``."""
+    if basis != BETA:
+        return None
+    rest = [s for s in states if s.terms.keys() != {_B1}
+            or not isinstance(s.terms[_B1], (int, Fraction))]
+    if len(rest) == len(states) or any(f == 1 for s in rest
+                                       for mon in s.terms for _, f in mon):
+        return None
+    return rest
+
+
+def _partitions(max_weight: int) -> list:
+    """p(0), ..., p(max_weight), the graded dims of H(1)."""
+    from .qseries import _euler_product
+    return _euler_product(1, max_weight, (1,))
+
+
+def _with_free_boson(ranks: dict) -> dict:
+    """Graded dims of H(1) (x) C' from those of C': sum_k p(k) ranks[w-k]."""
+    p = _partitions(len(ranks) - 1)
+    return {w: sum(p[k] * ranks[w - k] for k in range(w + 1)) for w in ranks}
+
+
+def _rank2_dims(dims: dict) -> dict:
+    """The inverse of ``_with_free_boson``:
+    d'_w = d_w - sum_{k>=1} p(k) d'_(w-k)."""
+    p = _partitions(len(dims) - 1)
+    out: dict = {}
+    for w in dims:
+        out[w] = dims[w] - sum(p[k] * out[w - k] for k in range(1, w + 1))
+    return out
+
+
+def _certified_close(states, max_weight: int, basis: str, target: dict) -> dict:
+    """The ordered pass, and the full closure if it misses the target."""
+    dims = _close(states, max_weight, basis, ordered=True)
+    if dims != target:
+        dims = _close(states, max_weight, basis, ordered=False)
+    return dims
+
+
 def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     """Graded dimensions of the strong span of the given generators.
 
@@ -392,6 +440,27 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     ranks reported are exact.  If any weight falls short, the ordered pass
     proves nothing, and the full closure, with every mode applied to every
     spanning vector, is run instead, so deficits are exact as well.
+
+    Both passes run in the rank-2 factor when the generating set splits off
+    the free boson b1: the basis is ``b``, at least one generator is a
+    nonzero rational multiple of b1(-1), and no other generator S' has a
+    mode of field 1.  In the ``b`` basis field 1 pairs only with itself, so
+    H(3) = H(1) (x) H(2), H(1) built by the modes of b1 and H(2) by those of
+    b2 and b3.  The modes of b1 have no contraction with those of a
+    field-1-free state, so they commute with the modes of S', and b1(n),
+    n >= 0, kills every field-1-free vector.  Hence C = H(1) (x) C', C' the
+    strong span of S' alone, and dim C_w = sum_k p(k) dim C'_(w-k), p the
+    partition numbers (``_with_free_boson``).  G fixes b1 and maps
+    H(2) to itself, so V^G = H(1) (x) H(2)^G, and the rank-2 targets
+    dim H(2)^G_w = target_w - sum_{k>=1} p(k) dim H(2)^G_(w-k) are the
+    targets times prod_{n>=1} (1 - q^n) (``_rank2_dims``).  C' lies in H(2)^G, so the argument
+    above certifies C' = H(2)^G up to max_weight when the ordered pass on
+    S' meets the rank-2 targets, and runs the full closure on S' when it
+    does not; both give dim C'_w exactly, hence dim C_w.  Since p(0) = 1,
+    C = V^G up to max_weight exactly when C' = H(2)^G, and the dims, and so
+    the report, are those of the closure in H(3).  Any other generating set
+    (the ``a`` basis, no multiple of b1(-1), a Q(z) multiple of it, another
+    generator with a field-1 mode) runs both passes in H(3).
     """
     if not 0 <= max_weight <= MAX_SPAN_WEIGHT:
         raise ValueError(f"max weight {max_weight} outside 0..{MAX_SPAN_WEIGHT}")
@@ -418,9 +487,12 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
             raise ValueError(f"generator {name} is not {group}-invariant")
 
     target = _target_dims(group, max_weight)
-    dims = _close(states, max_weight, basis, ordered=True)
-    if dims != target:
-        dims = _close(states, max_weight, basis, ordered=False)
+    rest = _field1_free_rest(states, basis)
+    if rest is None:
+        dims = _certified_close(states, max_weight, basis, target)
+    else:
+        ranks = _certified_close(rest, max_weight, basis, _rank2_dims(target))
+        dims = _with_free_boson(ranks)
     matched = {w: dims[w] == target[w] for w in range(max_weight + 1)}
     return SpanReport(names, group, max_weight, dims, target, matched)
 
@@ -433,6 +505,18 @@ S3_GENERATOR_IDS = [
     GeneratorId("omega3", (0, 0, 0)),
     GeneratorId("omega3", (0, 0, 2)),
     GeneratorId("omega3", (0, 1, 2)),
+]
+
+#: the S3 generating type (1, 2, 3, 4, 5, 6, 6) in the diagonal basis: b1
+#: and field-1-free states, so ``span_dims`` runs in the rank-2 factor
+S3_DIAGONAL_GENERATOR_IDS = [
+    GeneratorId("omega1_0", (0,)),
+    GeneratorId("omega2_0", (0, 0)),
+    GeneratorId("omega2_0", (0, 2)),
+    GeneratorId("omega2_0", (0, 4)),
+    GeneratorId("omega3_0", (0, 0, 0)),
+    GeneratorId("omega3_0", (0, 0, 2)),
+    GeneratorId("omega3_0", (0, 1, 2)),
 ]
 
 Z3_GENERATOR_IDS = [

@@ -178,6 +178,7 @@ def refuse_big_exponents(monkeypatch):
     ["product", "--u", "3/0*a1(-1)", "--n", "-1", "--v", "a1(-1)"],
     ["product", "--u", "(1/0)*a1(-1)", "--n", "-1", "--v", "a1(-1)"],
     ["product", "--u", "a1(-1)", "--n", "-100000", "--v", "a1(-1)"],
+    ["product", "--u", "a1(-1)+", "--n", "1", "--v", "a1(-1)"],
     ["char", "--which", "fock", "--weights", "1/0"],
     ["char", "--which", "fock", "--weights", "1,2"],
     ["char", "--which", "w-free", "--weights=-1"],

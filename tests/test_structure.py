@@ -8,7 +8,8 @@ from h3orbifold.fock import BETA, FockState, change_basis, enumerate_basis
 from h3orbifold.linalg import Echelon, det_bareiss
 from h3orbifold.scalars import ZETA
 from h3orbifold.structure import (DET_A_PATTERNS, MAX_SPAN_WEIGHT,
-                                  S3_GENERATOR_IDS, Z3_GENERATOR_IDS, build_D,
+                                  S3_DIAGONAL_GENERATOR_IDS, S3_GENERATOR_IDS,
+                                  Z3_GENERATOR_IDS, build_D,
                                   check_decomposition,
                                   cubic_family_coefficients, det_A,
                                   det_A_closed_form, det_A_even_polynomial,
@@ -409,13 +410,127 @@ def test_span_dims_equal_the_rational_closure(family):
 
 
 def test_span_forms_the_same_products_as_the_rational_closure():
-    # the memo holds exactly the monomial products asked for; its size at
-    # Z3 weight 10 is the one the rational, monomial-keyed closure leaves
+    # the memo holds exactly the monomial products asked for; its size after
+    # the ordered pass over the whole Z3 set at weight 10 is the one the
+    # rational, monomial-keyed closure leaves
+    from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
+    clear_product_cache()
+    states = [build_generator(g) for g in Z3_GENERATOR_IDS]
+    structure._close(states, 10, BETA, ordered=True)
+    assert len(_PRODUCT_CACHE) == 2151
+
+
+def test_span_in_the_rank2_factor_forms_fewer_products():
+    # span_dims splits off omega1_0 = b1(-1) and closes the rest in H(2)
     # (the ordered pass certifies, so only it runs)
     from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
     clear_product_cache()
     span_dims(Z3_GENERATOR_IDS, 10, "Z3")
-    assert len(_PRODUCT_CACHE) == 2151
+    assert len(_PRODUCT_CACHE) == 627
+
+
+def _unreduced_dims(gens, max_weight, group):
+    """The ranks of the closure in H(3): the ordered pass, and the full
+    closure where it misses the targets."""
+    states = [build_generator(g) for g in gens]
+    target = structure._target_dims(group, max_weight)
+    dims = structure._close(states, max_weight, BETA, ordered=True)
+    if dims != target:
+        dims = structure._close(states, max_weight, BETA, ordered=False)
+    return dims
+
+
+@pytest.mark.parametrize("dropped", [None] + [str(g) for g in Z3_GENERATOR_IDS[1:]])
+def test_rank2_span_equals_the_closure_in_h3(dropped):
+    gens = [g for g in Z3_GENERATOR_IDS if str(g) != dropped]
+    assert structure._field1_free_rest([build_generator(g) for g in gens],
+                                       BETA) is not None
+    rep = span_dims(gens, 10, "Z3")
+    assert rep.dims_spanned == _unreduced_dims(gens, 10, "Z3")
+    assert rep.all_matched == (dropped is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["S3", "Z3"]), st.integers(0, 14), st.data())
+def test_free_boson_factor_gives_the_targets_exactly_at_the_rank2_targets(
+        group, max_weight, data):
+    # the rank-2 targets are the targets times prod (1 - q^n), and dims of
+    # C' convolved with the partition numbers meet the targets only there
+    from h3orbifold.qseries import _euler_product
+    target = structure._target_dims(group, max_weight)
+    euler = _euler_product(1, max_weight, (), range(1, max_weight + 1))
+    rank2 = structure._rank2_dims(target)
+    assert rank2 == {w: sum(euler[k] * target[w - k] for k in range(w + 1))
+                     for w in target}
+    assert all(d >= 0 for d in rank2.values())
+    ranks = dict(rank2)
+    if data.draw(st.booleans()):
+        w = data.draw(st.integers(0, max_weight))
+        ranks[w] = data.draw(st.integers(0, 2 * rank2[w] + 2)
+                             .filter(lambda d: d != rank2[w]))
+    assert (structure._with_free_boson(ranks) == target) == (ranks == rank2)
+
+
+def test_span_without_the_free_boson_split_closes_every_generator(monkeypatch):
+    # the a-basis S3 set and the Z3 set without omega1_0 run both passes on
+    # every generator, as before the split; the full Z3 set splits it off
+    sizes = []
+    close = structure._close
+
+    def spy(states, *args, **kwargs):
+        sizes.append(len(states))
+        return close(states, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "_close", spy)
+    for group, gens in (("S3", S3_GENERATOR_IDS), ("Z3", Z3_GENERATOR_IDS[1:])):
+        sizes.clear()
+        span_dims(gens, 5, group)
+        assert sizes and set(sizes) == {len(gens)}, group
+    sizes.clear()
+    span_dims(Z3_GENERATOR_IDS, 5, "Z3")
+    assert set(sizes) == {len(Z3_GENERATOR_IDS) - 1}
+
+
+def test_free_boson_split_needs_a_rational_b1_and_field1_free_rest():
+    b1 = build_generator(Z3_GENERATOR_IDS[0])
+    rest = [build_generator(g) for g in Z3_GENERATOR_IDS[1:]]
+    split = structure._field1_free_rest
+    assert split([b1.scale(F(-2, 3))] + rest, BETA) == rest
+    assert split(rest, BETA) is None
+    assert split([b1.scale(ZETA)] + rest, BETA) is None
+    assert split([b1, b1 + build_generator(GeneratorId("omega1_0", (1,)))],
+                 BETA) is None
+    s3_b = [change_basis(build_generator(g), BETA) for g in S3_GENERATOR_IDS]
+    assert split(s3_b, BETA) is None
+    assert split([build_generator(g) for g in S3_GENERATOR_IDS], "a") is None
+
+
+def test_diagonal_s3_set_certifies_strong_generation_through_weight_12():
+    rep = span_dims(S3_DIAGONAL_GENERATOR_IDS, 12, "S3")
+    assert list(rep.dims_spanned.values()) == S3_SPAN_DIMS + [846, 1436]
+    assert rep.all_matched
+
+
+#: dims of the diagonal S3 set with one generator dropped, recorded with the
+#: full closure in H(3) through weight 7
+DIAGONAL_DROP_SPAN_DIMS = {
+    "omega1_0(0)": [1, 0, 1, 2, 4, 6, 13, 18],
+    "omega2_0(0,0)": [1, 1, 2, 4, 8, 14, 27, 46],
+    "omega2_0(0,2)": [1, 1, 3, 6, 12, 22, 44, 76],
+    "omega2_0(0,4)": [1, 1, 3, 6, 13, 24, 48, 85],
+    "omega3_0(0,0,0)": [1, 1, 3, 5, 11, 19, 38, 65],
+    "omega3_0(0,0,2)": [1, 1, 3, 6, 13, 23, 47, 82],
+    "omega3_0(0,1,2)": [1, 1, 3, 6, 13, 24, 48, 86],
+}
+
+
+@pytest.mark.parametrize("dropped", list(DIAGONAL_DROP_SPAN_DIMS))
+def test_diagonal_s3_single_drop_dims_are_pinned(dropped):
+    gens = [g for g in S3_DIAGONAL_GENERATOR_IDS if str(g) != dropped]
+    pinned = DIAGONAL_DROP_SPAN_DIMS[dropped]
+    rep = span_dims(gens, len(pinned) - 1, "S3")
+    assert list(rep.dims_spanned.values()) == pinned
+    assert not rep.all_matched
 
 
 def test_labels_are_injective_and_reverse_the_monomial_order():

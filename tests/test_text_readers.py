@@ -5,14 +5,15 @@ readers as they were before ``scalars.split_terms``: each split its text with
 its own loop (cutting "1e-5" at the exponent's sign), and ``parse_state``
 read a bare coefficient as digits and "/" only.  They are kept here as an
 oracle: whatever they read, the readers read alike, and whatever they refuse,
-the readers refuse too, except the texts ``_newly_read`` names.
+the readers refuse too, except the texts ``_newly_read`` names and those
+``_read_by_the_sign_rules`` names, which ``test_sign_rule_pins`` pins.
 """
 
 import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from h3orbifold.fock import (ALPHA, BETA, FockState, _normalize_coeff,
                              canonical, parse_state)
@@ -146,6 +147,30 @@ def _newly_read(text, bare_coefficients):
     return False
 
 
+#: a run of signs that may lead a term: not after "*", "/" or an exponent's e
+_LEADING_SIGNS = re.compile(r"(?<![*/eE])[-+]+")
+
+
+def _read_by_the_sign_rules(text, state):
+    """Whether the readers may read text otherwise than the reference ones
+    by the two sign rules of ``scalars.split_terms``: a term's sign is the
+    parity of all its leading signs, where the reference scalar reader took
+    the first one ("--1", and for states a scalar in parentheses,
+    "(+-1)*a1(-1)"), and a term of signs alone is refused, where the
+    reference state reader read it as 1 or -1 (a state ending in "-" or
+    "a1(-1)+")."""
+    s = text.replace(" ", "")
+    for m in _LEADING_SIGNS.finditer(s):
+        run = m.group()
+        depth = s.count("(", 0, m.start()) - s.count(")", 0, m.start())
+        if state and depth == 0:
+            if m.end() == len(s):
+                return True
+        elif (run.count("-") % 2 == 1) != run.startswith("-"):
+            return True
+    return False
+
+
 def _outcome(read, text):
     """read(text), or None where it refuses the text with ValueError."""
     try:
@@ -176,6 +201,7 @@ TEXTS = (st.text(alphabet=ALPHABET, max_size=20)
 @settings(max_examples=2000, deadline=None)
 @given(TEXTS)
 def test_parse_state_reads_as_the_reference_reader(text):
+    assume(not _read_by_the_sign_rules(text, state=True))
     want = _outcome(_reference_parse_state, text)
     got = _outcome(parse_state, text)
     if want is not None:
@@ -187,6 +213,7 @@ def test_parse_state_reads_as_the_reference_reader(text):
 @settings(max_examples=2000, deadline=None)
 @given(TEXTS)
 def test_parse_scalar_reads_as_the_reference_reader(text):
+    assume(not _read_by_the_sign_rules(text, state=False))
     want = _outcome(_reference_parse_scalar, text)
     got = _outcome(parse_scalar, text)
     if want is not None:
@@ -210,6 +237,30 @@ def _state(coeff, modes=(), basis=ALPHA):
 ])
 def test_parse_state_pins(text, want):
     assert parse_state(text) == want
+
+
+@pytest.mark.parametrize("read, text, want", [
+    (parse_scalar, "--1", F(1)),
+    (parse_scalar, "+-z", -ZETA),
+    (parse_scalar, "1--2", F(3)),
+    (parse_scalar, "-+-1/2+z", Scalar(F(1, 2), 1)),
+    (parse_state, "(--1)*a1(-1)", _state(F(1), [(1, 1)])),
+    (parse_state, "(+-1)*a1(-1)", _state(F(-1), [(1, 1)])),
+    (parse_state, "-(+-2z)*b1(-1)", _state(2 * ZETA, [(1, 1)], BETA)),
+    (parse_state, "--a1(-1)", _state(F(1), [(1, 1)])),
+    (parse_state, "-", None),
+    (parse_state, "+-", None),
+    (parse_state, "a1(-1)+", None),
+    (parse_state, "a1(-1) - ", None),
+    (parse_scalar, "1+", None),
+    (parse_scalar, "-", None),
+])
+def test_sign_rule_pins(read, text, want):
+    if want is None:
+        with pytest.raises(ValueError, match="a term of signs alone"):
+            read(text)
+    else:
+        assert read(text) == want
 
 
 @pytest.mark.parametrize("text, message", [
