@@ -316,7 +316,8 @@ class _Labels(dict):
         return code
 
 
-def _close(states, max_weight: int, basis: str, ordered: bool) -> dict:
+def _close(states, max_weight: int, basis: str, ordered: bool,
+           capacity: dict | None = None) -> dict:
     """Ranks per weight, up to max_weight, of the span built from the vacuum
     by negative modes of the states: all of them (the strong span), or with
     ``ordered`` set only ordered generator monomials.
@@ -343,25 +344,45 @@ def _close(states, max_weight: int, basis: str, ordered: bool) -> dict:
     monomial of a homogeneous row.  Rank does not depend on the pivot order;
     the size of intermediate remainders does (Bareiss, Math. Comp. 1968),
     and this order keeps them far smaller here than the largest-monomial one.
+
+    ``capacity``, if given, maps each (weight, charge) block to the
+    dimension of the invariants that the span lies in, as
+    ``_block_capacities`` builds it; the states must then be homogeneous
+    in weight and charge (``_charge``).  The charge, b2 modes minus b3
+    modes, is additive under every product in the ``b`` basis, so s_n x
+    lies in block (ws + wx - n - 1, q(s) + q(x)), known before it is
+    formed.  The span C is graded by both, so its rows in a block lie in
+    that block of the invariants; once the accepted rows of a block number
+    its capacity they are independent and span it, and ``insert`` would
+    reject any further product landing there.  Such a product is skipped
+    unformed, and the closure accepts the same rows, queues the same
+    vectors and gives the same ranks as without ``capacity``.
     """
     gens = []
     for s in states:
         ints = _integral(s.terms)[1]
         gens.append(_primitive(ints) if ints else ints)
     weights = [s.max_weight() for s in states]
+    room = None if capacity is None else dict(capacity)
+    charges = [0 if room is None else _charge(s.terms) for s in states]
     labels = _Labels(max_weight)
     shift = 6 * max_weight
     echelons = [Echelon() for _ in range(max_weight + 1)]
     echelons[0].insert({labels[()]: 1})
-    queue = [({(): 1}, 0, len(gens), 0)]
+    queue = [({(): 1}, 0, 0, len(gens), 0)]
     while queue:
-        x, wx, i2, n2 = queue.pop()
-        for i, (s, ws) in enumerate(zip(gens, weights)):
+        x, wx, qx, i2, n2 = queue.pop()
+        for i, (s, ws, qs) in enumerate(zip(gens, weights, charges)):
             if ordered and i > i2:
                 break
             top = n2 if ordered and i == i2 else -1
+            q = qs + qx
             # every monomial of s_n x has weight <= ws + wx - n - 1 <= max_weight
             for n in range(top, ws + wx - max_weight - 2, -1):
+                if room is not None:
+                    block = (ws + wx - n - 1, q)
+                    if not room.get(block):
+                        continue
                 prod: dict = {}
                 _accumulate(prod, basis, s, n, x, 1)
                 if not prod:
@@ -369,8 +390,67 @@ def _close(states, max_weight: int, basis: str, ordered: bool) -> dict:
                 row = {labels[mon]: c for mon, c in prod.items()}
                 w = -min(row) >> shift   # the largest weight in prod
                 if echelons[w].insert(row):
-                    queue.append((prod, w, i, n))
+                    queue.append((prod, w, q, i, n))
+                    if room is not None:
+                        room[block] -= 1
     return {w: e.rank for w, e in enumerate(echelons)}
+
+
+def _charge(terms: dict):
+    """The charge, b2 modes minus b3 modes, shared by every monomial of
+    terms (0 for no terms); None if a monomial has a mode of field 1 or two
+    monomials differ in charge."""
+    charges = set()
+    for mon in terms:
+        if any(f == 1 for _, f in mon):
+            return None
+        charges.add(sum(1 if f == 2 else -1 for _, f in mon))
+    if len(charges) > 1:
+        return None
+    return charges.pop() if charges else 0
+
+
+@lru_cache(maxsize=None)
+def _z3_block_dims(max_weight: int) -> dict:
+    """{(w, q): dim H(2)^Z3 in weight w and charge q} for w <= max_weight,
+    the blocks of dimension 0 left out.  The callers share the dict, so
+    none may change it.
+
+    Z3 acts diagonally on the ``b`` basis (``symmetry._beta_action_table``):
+    the 3-cycles scale b2 by z^(+-1) and b3 by z^(-+1) and fix b1.  So a
+    field-1-free monomial of charge q has eigenvalue z^(+-q), the
+    invariants of a block are spanned by its monomials when q = 0 mod 3 and
+    are 0 otherwise, and their number is
+    sum_(w2) sum_(c2 - c3 = q) p(w2, c2) p(w - w2, c3), p(n, c) the
+    partitions of n into exactly c parts: the b2 modes form a partition of
+    w2 into c2 parts, the b3 modes one of w - w2 into c3 parts.
+    """
+    # parts[n][c] = p(n, c) = p(n - 1, c - 1) + p(n - c, c)
+    parts = [[1] + [0] * max_weight]
+    for n in range(1, max_weight + 1):
+        parts.append([0] + [parts[n - 1][c - 1] + parts[n - c][c]
+                            for c in range(1, n + 1)] + [0] * (max_weight - n))
+    dims: dict = {}
+    for w in range(max_weight + 1):
+        for w2 in range(w + 1):
+            for c2 in range(w2 + 1):
+                for c3 in range(w - w2 + 1):
+                    n = parts[w2][c2] * parts[w - w2][c3]
+                    if n and (c2 - c3) % 3 == 0:
+                        key = (w, c2 - c3)
+                        dims[key] = dims.get(key, 0) + n
+    return dims
+
+
+def _block_capacities(states, basis: str, group: str, max_weight: int):
+    """The capacities ``_close`` may skip full blocks by: the Z3 block dims
+    (``_z3_block_dims``) if the group is Z3, the basis is ``b`` and every
+    state has a single charge and no mode of field 1, so that the span lies
+    in H(2)^Z3 and is graded by charge; else None."""
+    if group != "Z3" or basis != BETA or any(_charge(s.terms) is None
+                                               for s in states):
+        return None
+    return _z3_block_dims(max_weight)
 
 
 #: the monomial b1(-1)
@@ -413,11 +493,14 @@ def _rank2_dims(dims: dict) -> dict:
     return out
 
 
-def _certified_close(states, max_weight: int, basis: str, target: dict) -> dict:
-    """The ordered pass, and the full closure if it misses the target."""
-    dims = _close(states, max_weight, basis, ordered=True)
+def _certified_close(states, max_weight: int, basis: str, target: dict,
+                     capacity: dict | None) -> dict:
+    """The ordered pass, and the full closure if it misses the target; both
+    skip the products that land in full blocks of ``capacity``."""
+    dims = _close(states, max_weight, basis, ordered=True, capacity=capacity)
     if dims != target:
-        dims = _close(states, max_weight, basis, ordered=False)
+        dims = _close(states, max_weight, basis, ordered=False,
+                      capacity=capacity)
     return dims
 
 
@@ -461,6 +544,21 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     the report, are those of the closure in H(3).  Any other generating set
     (the ``a`` basis, no multiple of b1(-1), a Q(z) multiple of it, another
     generator with a field-1 mode) runs both passes in H(3).
+
+    For Z3 in the ``b`` basis, when every state closed (S', or all of them
+    if none is split off) has no mode of field 1 and a single charge q, b2
+    modes minus b3 modes, both passes skip the products that land in a
+    full (weight, charge) block (``_block_capacities``).  In the ``b``
+    basis b2 pairs only with b3 and b1 with itself, so each contraction
+    removes one b2 and one b3 mode, or two b1 modes, and raised modes keep
+    their field: q is additive under every mode product, and the closure of
+    such states is graded by weight and charge and lies in H(2).  It lies
+    in the invariants too, so its block (w, q) lies in H(2)^Z3_(w,q), whose
+    dimension ``_z3_block_dims`` counts.  The accepted rows of a block are
+    independent vectors there, so once they number that dimension they span
+    it, and every later product in the block is rejected by ``insert``; a
+    skipped product is one of those.  Both passes therefore accept the same
+    rows in the same order, and report the same ranks, as without the rule.
     """
     if not 0 <= max_weight <= MAX_SPAN_WEIGHT:
         raise ValueError(f"max weight {max_weight} outside 0..{MAX_SPAN_WEIGHT}")
@@ -488,10 +586,13 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
 
     target = _target_dims(group, max_weight)
     rest = _field1_free_rest(states, basis)
+    closed = states if rest is None else rest
+    capacity = _block_capacities(closed, basis, group, max_weight)
     if rest is None:
-        dims = _certified_close(states, max_weight, basis, target)
+        dims = _certified_close(states, max_weight, basis, target, capacity)
     else:
-        ranks = _certified_close(rest, max_weight, basis, _rank2_dims(target))
+        ranks = _certified_close(rest, max_weight, basis, _rank2_dims(target),
+                                 capacity)
         dims = _with_free_boson(ranks)
     matched = {w: dims[w] == target[w] for w in range(max_weight + 1)}
     return SpanReport(names, group, max_weight, dims, target, matched)

@@ -175,10 +175,6 @@ FAMILIES = {
 }
 
 
-def generator_weight(gid: GeneratorId) -> int:
-    return sum(gid.indices) + len(FAMILIES[gid.family][1][0])
-
-
 def build_generator(gid: GeneratorId) -> FockState:
     """The named state, exactly as defined by its family in ``FAMILIES``."""
     family, idx = gid.family, tuple(gid.indices)

@@ -20,7 +20,7 @@ from h3orbifold.qseries import (module_character, orbifold_character,
                                 w_algebra_free_character)
 from h3orbifold.structure import (S3_GENERATOR_IDS, det_A, det_A_closed_form,
                                   span_dims)
-from h3orbifold.symmetry import generator_weight, reynolds
+from h3orbifold.symmetry import build_generator, reynolds
 
 ACCEPTANCE_SEED = "H3S3"
 
@@ -120,7 +120,7 @@ def test_criterion_06_minimality():
     for i, gid in enumerate(S3_GENERATOR_IDS):
         sub = S3_GENERATOR_IDS[:i] + S3_GENERATOR_IDS[i + 1:]
         rep = span_dims(sub, 6, "S3")
-        wt = generator_weight(gid)
+        wt = build_generator(gid).weight()
         ok = ok and rep.first_deficit() == wt
         weights_hit.add(wt)
     ok = ok and weights_hit == {1, 2, 3, 4, 5, 6}

@@ -14,7 +14,8 @@ from h3orbifold.structure import (DET_A_PATTERNS, MAX_SPAN_WEIGHT,
                                   cubic_family_coefficients, det_A,
                                   det_A_closed_form, det_A_even_polynomial,
                                   det_A_matrix, span_dims)
-from h3orbifold.symmetry import GROUPS, GeneratorId, act, build_generator, gen
+from h3orbifold.symmetry import (GROUPS, GeneratorId, act, build_generator,
+                                 gen, is_invariant)
 from h3orbifold.relations import D3, Tk
 from h3orbifold.vertex import nth_product
 
@@ -426,7 +427,7 @@ def test_span_in_the_rank2_factor_forms_fewer_products():
     from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
     clear_product_cache()
     span_dims(Z3_GENERATOR_IDS, 10, "Z3")
-    assert len(_PRODUCT_CACHE) == 627
+    assert len(_PRODUCT_CACHE) == 581
 
 
 def _unreduced_dims(gens, max_weight, group):
@@ -503,6 +504,107 @@ def test_free_boson_split_needs_a_rational_b1_and_field1_free_rest():
     s3_b = [change_basis(build_generator(g), BETA) for g in S3_GENERATOR_IDS]
     assert split(s3_b, BETA) is None
     assert split([build_generator(g) for g in S3_GENERATOR_IDS], "a") is None
+
+
+def test_z3_block_dims_count_the_invariant_field1_free_monomials():
+    dims = structure._z3_block_dims(9)
+    counted: dict = {}
+    for w in range(10):
+        for mon in enumerate_basis(3, w):
+            state = FockState(3, BETA, {mon: F(1)})
+            q = structure._charge(state.terms)
+            if q is not None and is_invariant("Z3", state):
+                counted[w, q] = counted.get((w, q), 0) + 1
+    assert dims == counted
+    assert all(q % 3 == 0 for _, q in dims)
+
+
+@pytest.mark.parametrize("max_weight", range(17))
+def test_z3_block_dims_sum_to_the_rank2_targets(max_weight):
+    dims = structure._z3_block_dims(max_weight)
+    rank2 = structure._rank2_dims(structure._target_dims("Z3", max_weight))
+    sums = {w: 0 for w in range(max_weight + 1)}
+    for (w, _), n in dims.items():
+        sums[w] += n
+    assert sums == rank2
+
+
+def test_charge_reads_one_charge_of_field1_free_states():
+    charge = structure._charge
+    assert charge({}) == 0
+    assert charge(gen("omega23_0", 0, 1).terms) == 0
+    assert charge(gen("omega222_0", 0, 0, 2).terms) == 3
+    assert charge(gen("omega333_0", 0, 0, 0).terms) == -3
+    assert charge(gen("omega3_0", 0, 0, 0).terms) is None
+    assert charge(gen("omega1_0", 0).terms) is None
+    assert charge((gen("omega23_0", 0, 0) + gen("omega1_0", 1)).terms) is None
+
+
+class _RecordedEchelon(Echelon):
+    """An ``Echelon`` that lists itself and counts its inserts."""
+
+    made: list = []
+
+    def __init__(self):
+        super().__init__()
+        self.inserts = 0
+        self.made.append(self)
+
+    def insert(self, vec):
+        self.inserts += 1
+        return super().insert(vec)
+
+
+def _recorded_close(monkeypatch, states, max_weight, ordered, capacity):
+    """(ranks, rows of every echelon, insert calls) of ``_close``."""
+    made = []
+    monkeypatch.setattr(_RecordedEchelon, "made", made)
+    monkeypatch.setattr(structure, "Echelon", _RecordedEchelon)
+    ranks = structure._close(states, max_weight, BETA, ordered, capacity)
+    return ranks, [e.rows for e in made], sum(e.inserts for e in made)
+
+
+@pytest.mark.parametrize("dropped", [None] + [str(g) for g in Z3_GENERATOR_IDS])
+def test_full_charge_blocks_skip_only_products_insert_rejects(monkeypatch,
+                                                               dropped):
+    # the set span_dims closes: the rest after splitting off b1, or every
+    # generator when omega1_0 is dropped; both passes, the rule on and off
+    states = [build_generator(g) for g in Z3_GENERATOR_IDS if str(g) != dropped]
+    rest = structure._field1_free_rest(states, BETA)
+    closed = states if rest is None else rest
+    capacity = structure._block_capacities(closed, BETA, "Z3", 10)
+    assert capacity is not None
+    for ordered in (True, False):
+        on = _recorded_close(monkeypatch, closed, 10, ordered, capacity)
+        off = _recorded_close(monkeypatch, closed, 10, ordered, None)
+        assert on[:2] == off[:2], ordered
+        # the rule skips products, and the paper's set fills blocks in both
+        assert on[2] <= off[2] and (on[2] < off[2] or dropped), ordered
+
+
+def test_capacities_reach_close_only_for_field1_free_z3_charge_states(
+        monkeypatch):
+    capacities = []
+    close = structure._close
+
+    def spy(states, *args, **kwargs):
+        capacities.append(kwargs.get("capacity"))
+        return close(states, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "_close", spy)
+    b1_2 = GeneratorId("omega1_0", (1,))   # b1(-2), a second field-1 state
+    for group, gens in (("S3", S3_GENERATOR_IDS),
+                        ("S3", S3_DIAGONAL_GENERATOR_IDS),
+                        ("Z3", Z3_GENERATOR_IDS + [b1_2])):
+        capacities.clear()
+        span_dims(gens, 5, group)
+        assert set(capacities) == {None}, group
+    for gens in (Z3_GENERATOR_IDS, Z3_GENERATOR_IDS[1:]):
+        capacities.clear()
+        span_dims(gens, 5, "Z3")
+        assert capacities and None not in capacities
+    assert structure._block_capacities(
+        [build_generator(g) for g in Z3_GENERATOR_IDS[1:]], "a", "Z3", 5) is None
 
 
 def test_diagonal_s3_set_certifies_strong_generation_through_weight_12():

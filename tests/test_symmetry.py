@@ -5,9 +5,9 @@ import pytest
 
 from h3orbifold.fock import ALPHA, BETA, FockState, change_basis, enumerate_basis
 from h3orbifold.scalars import Scalar, ZETA
-from h3orbifold.symmetry import (GROUPS, GeneratorId, Permutation, act,
-                                 build_generator, gen, generator_weight,
-                                 is_invariant, reynolds,
+from h3orbifold.symmetry import (GROUPS, GeneratorId, Permutation,
+                                 _beta_action_table, act, build_generator,
+                                 gen, is_invariant, reynolds,
                                  verify_generator_translation)
 from h3orbifold.vertex import nth_product
 
@@ -117,7 +117,7 @@ def test_generator_builders():
     assert w23 == mono([(2, 2), (1, 3)], basis=BETA)
     w3 = gen("omega3_0", 0, 1, 2)
     assert w3.weight() == 6
-    assert generator_weight(GeneratorId("omega3_0", (0, 1, 2))) == 6
+    assert build_generator(GeneratorId("omega3_0", (0, 1, 2))).weight() == 6
     assert gen("omega2_0", 1, 3) == gen("omega2_0", 3, 1)  # symmetric
     with pytest.raises(ValueError):
         gen("omega2_0", 1)
@@ -155,3 +155,13 @@ def test_generator_translation_squared_form():
         rhs = change_basis(
             nth_product(gen("omega1_0", a), -1, gen("omega1_0", b)), ALPHA)
         assert lhs == rhs.scale(3)
+
+
+def test_beta_action_table_is_diagonal_on_z3_and_swaps_b2_b3_on_a_transposition():
+    # the charge blocks of the Z3 span rest on this: the 3-cycles fix b1
+    # and scale b2 and b3 by inverse cube roots of unity
+    one, z, zz = Scalar(1), ZETA, ZETA * ZETA
+    assert _beta_action_table((1, 2, 3)) == ((one, 1), (one, 2), (one, 3))
+    assert _beta_action_table((2, 3, 1)) == ((one, 1), (z, 2), (zz, 3))
+    assert _beta_action_table((3, 1, 2)) == ((one, 1), (zz, 2), (z, 3))
+    assert _beta_action_table((1, 3, 2)) == ((one, 1), (one, 3), (one, 2))
