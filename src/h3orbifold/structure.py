@@ -291,17 +291,16 @@ def _label(mon, max_weight: int) -> int:
     Each mode (level, field) is the base-64 digit 4 * level + field, which
     lies in 5..63 for levels up to 15 and fields 1..3 and orders modes as
     tuples do.  The digits, padded on the right with zeros to max_weight of
-    them (a monomial has at most as many modes as its weight), sit below a
-    leading digit holding the weight, and the label is that number negated.
-    Since a zero pad sorts below every digit, as a tuple prefix sorts first,
-    labels are injective and, among monomials of one weight, strictly
-    reverse the tuple order; ``-label >> 6 * max_weight`` is the weight.
+    them (a monomial has at most as many modes as its weight), make a
+    number, and the label is that number negated.  No digit is zero, so the
+    padding fixes the number of modes and labels are injective; a zero pad
+    sorts below every digit, as a tuple prefix sorts first, so labels
+    strictly reverse the tuple order.
     """
-    code = wt = 0
+    code = 0
     for level, field in mon:
         code = (code << 6) | (4 * level + field)
-        wt += level
-    return -((wt << 6 * max_weight) | (code << 6 * (max_weight - len(mon))))
+    return -(code << 6 * (max_weight - len(mon)))
 
 
 class _Labels(dict):
@@ -316,8 +315,8 @@ class _Labels(dict):
         return code
 
 
-def _close(states, max_weight: int, basis: str, ordered: bool,
-           capacity: dict | None = None) -> dict:
+def _close(states, charges, room: dict, max_weight: int, basis: str,
+           ordered: bool) -> dict:
     """Ranks per weight, up to max_weight, of the span built from the vacuum
     by negative modes of the states: all of them (the strong span), or with
     ``ordered`` set only ordered generator monomials.
@@ -328,6 +327,17 @@ def _close(states, max_weight: int, basis: str, ordered: bool,
     tagged (i2, n2) only if i < i2, or i == i2 and n <= n2, so only ordered
     generator monomials are formed.
 
+    Each state is homogeneous in weight and in a charge that adds under
+    every product, ``charges[i]`` that of ``states[i]``, so s_n x lies in
+    the grade (ws + wx - n - 1, q(s) + q(x)), known before it is formed.
+    ``room`` maps each grade to the dimension of a space that the span's
+    part in that grade lies in (a grade left out has room 0).  Once the
+    rows accepted in a grade number its room, they are independent vectors
+    of that space and span it, and ``insert`` would reject every later
+    product in the grade; such a product is skipped unformed.  So the
+    closure accepts the same rows in the same order, queues the same
+    vectors and gives the same ranks as with rooms that never fill.
+
     The closure runs on integers only, and this changes no rank.  Each state
     is scaled once to a primitive integer vector by the lcm of its
     denominators (a Q(z) coefficient raises TypeError), and each product is
@@ -335,38 +345,24 @@ def _close(states, max_weight: int, basis: str, ordered: bool,
     ``_monomial_product`` (``vertex._accumulate``).  Scaling a state by a
     nonzero rational scales every product formed from it, and every vector
     formed later from those, by a nonzero rational, so each product spans
-    the same line as in the rational closure.  Each product enters the echelon of its largest
-    weight keyed by ``_label``, an injective relabelling of the coordinates
-    and so a linear isomorphism.  Hence every ``insert`` accepts exactly the
-    products that the rational, monomial-keyed closure accepts, and the
-    queue, the products formed and the rank at each weight are the same.
-    ``Echelon`` pivots on the largest label, which is now the smallest
-    monomial of a homogeneous row.  Rank does not depend on the pivot order;
-    the size of intermediate remainders does (Bareiss, Math. Comp. 1968),
-    and this order keeps them far smaller here than the largest-monomial one.
-
-    ``capacity``, if given, maps each (weight, charge) block to the
-    dimension of the invariants that the span lies in, as
-    ``_block_capacities`` builds it; the states must then be homogeneous
-    in weight and charge (``_charge``).  The charge, b2 modes minus b3
-    modes, is additive under every product in the ``b`` basis, so s_n x
-    lies in block (ws + wx - n - 1, q(s) + q(x)), known before it is
-    formed.  The span C is graded by both, so its rows in a block lie in
-    that block of the invariants; once the accepted rows of a block number
-    its capacity they are independent and span it, and ``insert`` would
-    reject any further product landing there.  Such a product is skipped
-    unformed, and the closure accepts the same rows, queues the same
-    vectors and gives the same ranks as without ``capacity``.
+    the same line as in the rational closure.  Each product enters the
+    echelon of its grade's weight keyed by ``_label``, an injective
+    relabelling of the coordinates and so a linear isomorphism.  Hence every
+    ``insert`` accepts exactly the products that the rational,
+    monomial-keyed closure accepts, and the queue, the products formed and
+    the rank at each weight are the same.  ``Echelon`` pivots on the largest
+    label, which is the smallest monomial of a row.  Rank does not depend on
+    the pivot order; the size of intermediate remainders does (Bareiss,
+    Math. Comp. 1968), and this order keeps them far smaller here than the
+    largest-monomial one.
     """
     gens = []
     for s in states:
         ints = _integral(s.terms)[1]
         gens.append(_primitive(ints) if ints else ints)
     weights = [s.max_weight() for s in states]
-    room = None if capacity is None else dict(capacity)
-    charges = [0 if room is None else _charge(s.terms) for s in states]
+    room = dict(room)
     labels = _Labels(max_weight)
-    shift = 6 * max_weight
     echelons = [Echelon() for _ in range(max_weight + 1)]
     echelons[0].insert({labels[()]: 1})
     queue = [({(): 1}, 0, 0, len(gens), 0)]
@@ -376,23 +372,17 @@ def _close(states, max_weight: int, basis: str, ordered: bool,
             if ordered and i > i2:
                 break
             top = n2 if ordered and i == i2 else -1
-            q = qs + qx
-            # every monomial of s_n x has weight <= ws + wx - n - 1 <= max_weight
+            # s_n x has weight ws + wx - n - 1 <= max_weight
             for n in range(top, ws + wx - max_weight - 2, -1):
-                if room is not None:
-                    block = (ws + wx - n - 1, q)
-                    if not room.get(block):
-                        continue
+                w, q = ws + wx - n - 1, qs + qx
+                if not room.get((w, q)):
+                    continue
                 prod: dict = {}
                 _accumulate(prod, basis, s, n, x, 1)
-                if not prod:
-                    continue
-                row = {labels[mon]: c for mon, c in prod.items()}
-                w = -min(row) >> shift   # the largest weight in prod
-                if echelons[w].insert(row):
+                if prod and echelons[w].insert(
+                        {labels[mon]: c for mon, c in prod.items()}):
                     queue.append((prod, w, q, i, n))
-                    if room is not None:
-                        room[block] -= 1
+                    room[w, q] -= 1
     return {w: e.rank for w, e in enumerate(echelons)}
 
 
@@ -442,17 +432,6 @@ def _z3_block_dims(max_weight: int) -> dict:
     return dims
 
 
-def _block_capacities(states, basis: str, group: str, max_weight: int):
-    """The capacities ``_close`` may skip full blocks by: the Z3 block dims
-    (``_z3_block_dims``) if the group is Z3, the basis is ``b`` and every
-    state has a single charge and no mode of field 1, so that the span lies
-    in H(2)^Z3 and is graded by charge; else None."""
-    if group != "Z3" or basis != BETA or any(_charge(s.terms) is None
-                                               for s in states):
-        return None
-    return _z3_block_dims(max_weight)
-
-
 #: the monomial b1(-1)
 _B1 = ((1, 1),)
 
@@ -493,24 +472,13 @@ def _rank2_dims(dims: dict) -> dict:
     return out
 
 
-def _certified_close(states, max_weight: int, basis: str, target: dict,
-                     capacity: dict | None) -> dict:
-    """The ordered pass, and the full closure if it misses the target; both
-    skip the products that land in full blocks of ``capacity``."""
-    dims = _close(states, max_weight, basis, ordered=True, capacity=capacity)
-    if dims != target:
-        dims = _close(states, max_weight, basis, ordered=False,
-                      capacity=capacity)
-    return dims
-
-
 def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     """Graded dimensions of the strong span of the given generators.
 
     The strong span C is the closure of the vacuum under all negative modes
     u_n (n <= -1) of the generators, computed weight by weight with exact
     rank bookkeeping.  Every generator must be homogeneous (``_close`` files
-    each product under its largest weight) and invariant under the group.
+    s_n x under the weight ws + wx - n - 1) and invariant under the group.
 
     A first pass closes the vacuum under ordered generator monomials only
     (see ``_close``), the spanning set of a strongly generated vertex
@@ -536,30 +504,32 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     partition numbers (``_with_free_boson``).  G fixes b1 and maps
     H(2) to itself, so V^G = H(1) (x) H(2)^G, and the rank-2 targets
     dim H(2)^G_w = target_w - sum_{k>=1} p(k) dim H(2)^G_(w-k) are the
-    targets times prod_{n>=1} (1 - q^n) (``_rank2_dims``).  C' lies in H(2)^G, so the argument
-    above certifies C' = H(2)^G up to max_weight when the ordered pass on
-    S' meets the rank-2 targets, and runs the full closure on S' when it
-    does not; both give dim C'_w exactly, hence dim C_w.  Since p(0) = 1,
-    C = V^G up to max_weight exactly when C' = H(2)^G, and the dims, and so
-    the report, are those of the closure in H(3).  Any other generating set
-    (the ``a`` basis, no multiple of b1(-1), a Q(z) multiple of it, another
-    generator with a field-1 mode) runs both passes in H(3).
+    targets times prod_{n>=1} (1 - q^n) (``_rank2_dims``).  C' lies in
+    H(2)^G, so the argument above certifies C' = H(2)^G up to max_weight
+    when the ordered pass on S' meets the rank-2 targets, and runs the full
+    closure on S' when it does not; both give dim C'_w exactly, hence
+    dim C_w.  Since p(0) = 1, C = V^G up to max_weight exactly when
+    C' = H(2)^G, and the dims, and so the report, are those of the closure
+    in H(3).  Any other generating set (the ``a`` basis, no multiple of
+    b1(-1), a Q(z) multiple of it, another generator with a field-1 mode)
+    runs both passes in H(3).
 
-    For Z3 in the ``b`` basis, when every state closed (S', or all of them
-    if none is split off) has no mode of field 1 and a single charge q, b2
-    modes minus b3 modes, both passes skip the products that land in a
-    full (weight, charge) block (``_block_capacities``).  In the ``b``
-    basis b2 pairs only with b3 and b1 with itself, so each contraction
-    removes one b2 and one b3 mode, or two b1 modes, and raised modes keep
-    their field: q is additive under every mode product, and the closure of
-    such states is graded by weight and charge and lies in H(2).  It lies
-    in the invariants too, so its block (w, q) lies in H(2)^Z3_(w,q), whose
-    dimension ``_z3_block_dims`` counts.  The accepted rows of a block are
-    independent vectors there, so once they number that dimension they span
-    it, and every later product in the block is rejected by ``insert``; a
-    skipped product is one of those.  Both passes therefore accept the same
-    rows in the same order, and report the same ranks, as without the rule.
+    Both passes skip the products that land in a full grade of one room
+    (``_close``), built once here.  For Z3 in the ``b`` basis, when every
+    state closed (S', or all of them if none is split off) has no mode of
+    field 1 and a single charge q, b2 modes minus b3 modes (``_charge``),
+    the grades are (weight, charge).  In the ``b`` basis b2 pairs only with
+    b3 and b1 with itself, so each contraction removes one b2 and one b3
+    mode, or two b1 modes, and raised modes keep their field: q adds under
+    every mode product, and the closure lies in H(2).  It lies in the
+    invariants too, so its block (w, q) lies in H(2)^Z3_(w,q), whose
+    dimension ``_z3_block_dims`` counts.  Every other set gets charge 0 on
+    every state, and its room at weight w is the goal that the closed span
+    lies under: the target, or the rank-2 target after the split.
     """
+    from .qseries import ORBIFOLD_GROUPS
+    if group not in ORBIFOLD_GROUPS:
+        raise ValueError(f"unknown group {group!r} (use S3 or Z3)")
     if not 0 <= max_weight <= MAX_SPAN_WEIGHT:
         raise ValueError(f"max weight {max_weight} outside 0..{MAX_SPAN_WEIGHT}")
     states = []
@@ -586,14 +556,19 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
 
     target = _target_dims(group, max_weight)
     rest = _field1_free_rest(states, basis)
-    closed = states if rest is None else rest
-    capacity = _block_capacities(closed, basis, group, max_weight)
-    if rest is None:
-        dims = _certified_close(states, max_weight, basis, target, capacity)
+    closed, goal = ((states, target) if rest is None
+                    else (rest, _rank2_dims(target)))
+    charges = [_charge(s.terms) for s in closed]
+    if group == "Z3" and basis == BETA and None not in charges:
+        room = _z3_block_dims(max_weight)
     else:
-        ranks = _certified_close(rest, max_weight, basis, _rank2_dims(target),
-                                 capacity)
-        dims = _with_free_boson(ranks)
+        charges = [0] * len(closed)
+        room = {(w, 0): d for w, d in goal.items()}
+    dims = _close(closed, charges, room, max_weight, basis, ordered=True)
+    if dims != goal:
+        dims = _close(closed, charges, room, max_weight, basis, ordered=False)
+    if rest is not None:
+        dims = _with_free_boson(dims)
     matched = {w: dims[w] == target[w] for w in range(max_weight + 1)}
     return SpanReport(names, group, max_weight, dims, target, matched)
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -398,15 +399,26 @@ def _generator_families(draw):
     return group, states, draw(st.integers(0, 6))
 
 
+def _open_room(max_weight):
+    """A room that never fills: every (weight, charge) grade up to
+    max_weight, each with unbounded dimension."""
+    return {(w, q): inf for w in range(max_weight + 1) for q in range(-w, w + 1)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(_generator_families())
 def test_span_dims_equal_the_rational_closure(family):
+    # _close runs in H(3) with the weight room of the targets, which the
+    # reference closure does not have
     group, states, max_weight = family
     basis = states[0].basis if states else "a"
     full = _reference_close(states, max_weight, basis, ordered=False)
     assert span_dims(states, max_weight, group).dims_spanned == full
+    room = {(w, 0): d
+            for w, d in structure._target_dims(group, max_weight).items()}
     for ordered in (True, False):
-        assert (structure._close(states, max_weight, basis, ordered)
+        assert (structure._close(states, [0] * len(states), room, max_weight,
+                                 basis, ordered)
                 == _reference_close(states, max_weight, basis, ordered))
 
 
@@ -417,7 +429,8 @@ def test_span_forms_the_same_products_as_the_rational_closure():
     from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
     clear_product_cache()
     states = [build_generator(g) for g in Z3_GENERATOR_IDS]
-    structure._close(states, 10, BETA, ordered=True)
+    structure._close(states, [0] * len(states), _open_room(10), 10, BETA,
+                     ordered=True)
     assert len(_PRODUCT_CACHE) == 2151
 
 
@@ -435,9 +448,10 @@ def _unreduced_dims(gens, max_weight, group):
     closure where it misses the targets."""
     states = [build_generator(g) for g in gens]
     target = structure._target_dims(group, max_weight)
-    dims = structure._close(states, max_weight, BETA, ordered=True)
+    args = (states, [0] * len(states), _open_room(max_weight), max_weight, BETA)
+    dims = structure._close(*args, ordered=True)
     if dims != target:
-        dims = structure._close(states, max_weight, BETA, ordered=False)
+        dims = structure._close(*args, ordered=False)
     return dims
 
 
@@ -555,56 +569,87 @@ class _RecordedEchelon(Echelon):
         return super().insert(vec)
 
 
-def _recorded_close(monkeypatch, states, max_weight, ordered, capacity):
+def _recorded_close(monkeypatch, *args, **kwargs):
     """(ranks, rows of every echelon, insert calls) of ``_close``."""
     made = []
     monkeypatch.setattr(_RecordedEchelon, "made", made)
     monkeypatch.setattr(structure, "Echelon", _RecordedEchelon)
-    ranks = structure._close(states, max_weight, BETA, ordered, capacity)
+    ranks = structure._close(*args, **kwargs)
+    monkeypatch.setattr(structure, "Echelon", Echelon)
     return ranks, [e.rows for e in made], sum(e.inserts for e in made)
 
 
-@pytest.mark.parametrize("dropped", [None] + [str(g) for g in Z3_GENERATOR_IDS])
-def test_full_charge_blocks_skip_only_products_insert_rejects(monkeypatch,
-                                                               dropped):
-    # the set span_dims closes: the rest after splitting off b1, or every
-    # generator when omega1_0 is dropped; both passes, the rule on and off
-    states = [build_generator(g) for g in Z3_GENERATOR_IDS if str(g) != dropped]
-    rest = structure._field1_free_rest(states, BETA)
-    closed = states if rest is None else rest
-    capacity = structure._block_capacities(closed, BETA, "Z3", 10)
-    assert capacity is not None
-    for ordered in (True, False):
-        on = _recorded_close(monkeypatch, closed, 10, ordered, capacity)
-        off = _recorded_close(monkeypatch, closed, 10, ordered, None)
-        assert on[:2] == off[:2], ordered
-        # the rule skips products, and the paper's set fills blocks in both
-        assert on[2] <= off[2] and (on[2] < off[2] or dropped), ordered
-
-
-def test_capacities_reach_close_only_for_field1_free_z3_charge_states(
-        monkeypatch):
-    capacities = []
+def _close_calls(monkeypatch, gens, max_weight, group):
+    """The (args, kwargs) of every ``_close`` call ``span_dims`` makes."""
+    calls = []
     close = structure._close
 
-    def spy(states, *args, **kwargs):
-        capacities.append(kwargs.get("capacity"))
-        return close(states, *args, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return close(*args, **kwargs)
 
     monkeypatch.setattr(structure, "_close", spy)
+    span_dims(gens, max_weight, group)
+    monkeypatch.setattr(structure, "_close", close)
+    return calls
+
+
+#: (group, generating set, max weight, dropped generator or None) of every
+#: path through span_dims; the Z3 cases keep their bare ids
+_ROOM_CASES = (
+    [pytest.param("S3", S3_GENERATOR_IDS, 8, d, id=f"s3-{d}")
+     for d in [None] + [str(g) for g in S3_GENERATOR_IDS]]
+    + [pytest.param("S3", S3_DIAGONAL_GENERATOR_IDS, 7, d, id=f"diagonal-{d}")
+       for d in [None] + [str(g) for g in S3_DIAGONAL_GENERATOR_IDS]]
+    + [pytest.param("Z3", Z3_GENERATOR_IDS, 10, d, id=str(d))
+       for d in [None] + [str(g) for g in Z3_GENERATOR_IDS]])
+
+
+@pytest.mark.parametrize("group, ids, max_weight, dropped", _ROOM_CASES)
+def test_full_charge_blocks_skip_only_products_insert_rejects(
+        monkeypatch, group, ids, max_weight, dropped):
+    # every pass span_dims runs, with its room and with one that never
+    # fills: the same echelon rows, and never more inserts
+    gens = [g for g in ids if str(g) != dropped]
+    calls = _close_calls(monkeypatch, gens, max_weight, group)
+    assert [kw["ordered"] for _, kw in calls] == [True] + [False] * bool(dropped)
+    for (states, charges, room, *rest), kwargs in calls:
+        on = _recorded_close(monkeypatch, states, charges, room, *rest, **kwargs)
+        off = _recorded_close(monkeypatch, states, charges,
+                              _open_room(max_weight), *rest, **kwargs)
+        assert on[:2] == off[:2], kwargs
+        assert on[2] <= off[2], kwargs
+        # the paper's Z3 set fills charge blocks before its last products
+        if group == "Z3" and dropped is None:
+            assert on[2] < off[2]
+
+
+def test_span_dims_gives_each_set_its_room(monkeypatch):
+    # Z3 b-basis sets of field-1-free states of one charge each get the
+    # charge blocks; every other set charge 0 and the weight room of its
+    # goal, the targets or, after the split, the rank-2 targets
+    def room_of(gens, group):
+        (args, _), *_ = _close_calls(monkeypatch, gens, 5, group)
+        return args[1:3]
+
+    target = {g: structure._target_dims(g, 5) for g in ("S3", "Z3")}
+    weight_room = {g: {(w, 0): d for w, d in t.items()} for g, t in target.items()}
+    rank2_room = {g: {(w, 0): d for w, d in structure._rank2_dims(t).items()}
+                  for g, t in target.items()}
+    blocks = structure._z3_block_dims(5)
     b1_2 = GeneratorId("omega1_0", (1,))   # b1(-2), a second field-1 state
-    for group, gens in (("S3", S3_GENERATOR_IDS),
-                        ("S3", S3_DIAGONAL_GENERATOR_IDS),
-                        ("Z3", Z3_GENERATOR_IDS + [b1_2])):
-        capacities.clear()
-        span_dims(gens, 5, group)
-        assert set(capacities) == {None}, group
+    for gens, group, room in (
+            (S3_GENERATOR_IDS, "S3", weight_room["S3"]),
+            (S3_DIAGONAL_GENERATOR_IDS, "S3", rank2_room["S3"]),
+            (Z3_GENERATOR_IDS + [b1_2], "Z3", weight_room["Z3"]),
+            (S3_GENERATOR_IDS, "Z3", weight_room["Z3"])):   # the a basis
+        charges, got = room_of(gens, group)
+        assert got == room and set(charges) <= {0}, (group, len(gens))
+    charges = [structure._charge(build_generator(g).terms)
+               for g in Z3_GENERATOR_IDS[1:]]
+    assert {0, 3, -3} <= set(charges)
     for gens in (Z3_GENERATOR_IDS, Z3_GENERATOR_IDS[1:]):
-        capacities.clear()
-        span_dims(gens, 5, "Z3")
-        assert capacities and None not in capacities
-    assert structure._block_capacities(
-        [build_generator(g) for g in Z3_GENERATOR_IDS[1:]], "a", "Z3", 5) is None
+        assert room_of(gens, "Z3") == (charges, blocks)
 
 
 def test_diagonal_s3_set_certifies_strong_generation_through_weight_12():
@@ -643,8 +688,6 @@ def test_labels_are_injective_and_reverse_the_monomial_order():
         for max_weight in {w, top}:
             labels = [structure._label(m, max_weight) for m in monomials]
             assert all(a > b for a, b in zip(labels, labels[1:])), (w, max_weight)
-            # the weight sits above the mode digits, as _close reads it back
-            assert all(-k >> 6 * max_weight == w for k in labels)
         seen.update(structure._label(m, top) for m in monomials)
         assert len(seen) == sum(len(enumerate_basis(3, v)) for v in range(w + 1))
 
@@ -670,6 +713,20 @@ def test_span_rejects_a_mixed_weight_generator_before_any_product(monkeypatch):
     mixed = build_generator(S3_GENERATOR_IDS[0]) + build_generator(S3_GENERATOR_IDS[1])
     with pytest.raises(ValueError, match="mixed weight"):
         span_dims([mixed], 5, "S3")
+
+
+@pytest.mark.parametrize("group", ["foo", "S2", "s3", ""])
+def test_span_rejects_an_unknown_group_before_any_generator(monkeypatch, group):
+    # S2 is in symmetry.GROUPS, so its invariance checks used to run first
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+
+    def no_generator(*args):
+        raise AssertionError("a generator was built")
+    monkeypatch.setattr(vertex, "_monomial_product", no_product)
+    monkeypatch.setattr(structure, "build_generator", no_generator)
+    with pytest.raises(ValueError, match="S3 or Z3"):
+        span_dims(S3_GENERATOR_IDS, 4, group)
 
 
 def test_span_rejects_q_z_coefficients():
