@@ -18,8 +18,12 @@ from .symmetry import FAMILIES
 class CPoly:
     """Sparse multivariate polynomial over Q.
 
-    Integral coefficients are kept as ``int`` and only the others as
-    ``Fraction``; the two compare and print alike."""
+    Coefficients are ``int`` or ``Fraction`` and are never normalised:
+    ``constant`` and ``variable`` give ``int`` for an integral value, a sum
+    or product has the type that Python's arithmetic gives it (one with a
+    ``Fraction`` operand stays a ``Fraction``, ``Fraction(1, 1)`` included),
+    and ``scale`` always yields ``Fraction``.  The two compare and print
+    alike."""
 
     __slots__ = ("terms",)
 

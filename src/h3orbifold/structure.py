@@ -315,28 +315,39 @@ class _Labels(dict):
         return code
 
 
-def _close(states, charges, room: dict, max_weight: int, basis: str,
-           ordered: bool) -> dict:
-    """Ranks per weight, up to max_weight, of the span built from the vacuum
-    by negative modes of the states: all of them (the strong span), or with
-    ``ordered`` set only ordered generator monomials.
+def _close(states, charges, room: dict, max_weight: int, basis: str) -> dict:
+    """Ranks per weight, up to max_weight, of the strong span of the states:
+    the closure of the vacuum under all their negative modes.
 
-    Each queued vector is a product s_n x that enlarged its weight's span,
-    tagged with (i, n), i the index of s; the vacuum carries (len(states), 0).
-    With ``ordered`` set, generator i with mode n is applied to a vector
-    tagged (i2, n2) only if i < i2, or i == i2 and n <= n2, so only ordered
-    generator monomials are formed.
+    It runs weight by weight, w = 1, ..., max_weight, with one ``Echelon``
+    that lives only for its weight.  The candidates at w are the products
+    s_n x of a state s of weight ws and a vector x accepted at a weight
+    wx < w, n = ws + wx - w - 1 <= -1; a product that enlarges the span is
+    accepted and tagged (i, n), i the index of s, and the vacuum (weight 0)
+    carries (len(states), 0).  The candidates span weight w, so the ranks
+    are exact for every set of states.  That part of the span is spanned by
+    the s_n y, y in the span of weight w - ws + n + 1 <= w - ws.  A state
+    of weight 0 is c|0>, whose only nonzero negative mode is c times the
+    identity and adds nothing, so y lies below weight w, where the accepted
+    vectors span, by induction.
 
-    Each state is homogeneous in weight and in a charge that adds under
-    every product, ``charges[i]`` that of ``states[i]``, so s_n x lies in
-    the grade (ws + wx - n - 1, q(s) + q(x)), known before it is formed.
-    ``room`` maps each grade to the dimension of a space that the span's
-    part in that grade lies in (a grade left out has room 0).  Once the
-    rows accepted in a grade number its room, they are independent vectors
-    of that space and span it, and ``insert`` would reject every later
-    product in the grade; such a product is skipped unformed.  So the
-    closure accepts the same rows in the same order, queues the same
-    vectors and gives the same ranks as with rooms that never fill.
+    The candidates that extend an ordered generator monomial, i < i2, or
+    i == i2 and n <= n2 for x tagged (i2, n2), are tried first, then the
+    rest.  Ordered monomials span a strongly generated vertex algebra
+    (De Sole-Kac, CMP 2006), so on a generating set the first ones tend to
+    fill each grade of the room below before any other pair is formed (on
+    the paper's sets none is), and the rest are skipped unformed.  The
+    order decides which products are formed and accepted, never the ranks.
+
+    Each state is homogeneous in a charge that adds under every product,
+    ``charges[i]`` that of ``states[i]``, so s_n x lies in the grade
+    (w, q(s) + q(x)), known before it is formed.  ``room`` maps each grade
+    to the dimension of a space that the span's part in that grade lies in
+    (a grade left out has room 0).  Once the rows accepted in a grade
+    number its room, they are independent vectors of that space and span
+    it, and ``insert`` would reject every later product in the grade; such
+    a product is skipped unformed.  So the closure accepts the same rows in
+    the same order and gives the same ranks as with rooms that never fill.
 
     The closure runs on integers only, and this changes no rank.  Each state
     is scaled once to a primitive integer vector by the lcm of its
@@ -346,15 +357,14 @@ def _close(states, charges, room: dict, max_weight: int, basis: str,
     nonzero rational scales every product formed from it, and every vector
     formed later from those, by a nonzero rational, so each product spans
     the same line as in the rational closure.  Each product enters the
-    echelon of its grade's weight keyed by ``_label``, an injective
-    relabelling of the coordinates and so a linear isomorphism.  Hence every
-    ``insert`` accepts exactly the products that the rational,
-    monomial-keyed closure accepts, and the queue, the products formed and
-    the rank at each weight are the same.  ``Echelon`` pivots on the largest
-    label, which is the smallest monomial of a row.  Rank does not depend on
-    the pivot order; the size of intermediate remainders does (Bareiss,
-    Math. Comp. 1968), and this order keeps them far smaller here than the
-    largest-monomial one.
+    echelon keyed by ``_label``, an injective relabelling of the coordinates
+    and so a linear isomorphism.  Hence every ``insert`` accepts exactly the
+    products that the rational, monomial-keyed closure accepts, and the
+    products formed and the rank at each weight are the same.  ``Echelon``
+    pivots on the largest label, which is the smallest monomial of a row.
+    Rank does not depend on the pivot order; the size of intermediate
+    remainders does (Bareiss, Math. Comp. 1968), and this order keeps them
+    far smaller here than the largest-monomial one.
     """
     gens = []
     for s in states:
@@ -363,27 +373,30 @@ def _close(states, charges, room: dict, max_weight: int, basis: str,
     weights = [s.max_weight() for s in states]
     room = dict(room)
     labels = _Labels(max_weight)
-    echelons = [Echelon() for _ in range(max_weight + 1)]
-    echelons[0].insert({labels[()]: 1})
-    queue = [({(): 1}, 0, 0, len(gens), 0)]
-    while queue:
-        x, wx, qx, i2, n2 = queue.pop()
-        for i, (s, ws, qs) in enumerate(zip(gens, weights, charges)):
-            if ordered and i > i2:
-                break
-            top = n2 if ordered and i == i2 else -1
-            # s_n x has weight ws + wx - n - 1 <= max_weight
-            for n in range(top, ws + wx - max_weight - 2, -1):
-                w, q = ws + wx - n - 1, qs + qx
-                if not room.get((w, q)):
-                    continue
-                prod: dict = {}
-                _accumulate(prod, basis, s, n, x, 1)
-                if prod and echelons[w].insert(
-                        {labels[mon]: c for mon, c in prod.items()}):
-                    queue.append((prod, w, q, i, n))
-                    room[w, q] -= 1
-    return {w: e.rank for w, e in enumerate(echelons)}
+    accepted = [({(): 1}, 0, 0, len(gens), 0)]   # (x, wx, qx, i2, n2)
+    ranks = {0: 1}
+    for w in range(1, max_weight + 1):
+        early, late = [], []
+        for i, ws in enumerate(weights):
+            for x, wx, qx, i2, n2 in accepted:   # in order of weight
+                n = ws + wx - w - 1
+                if n > -1:
+                    break
+                ordered = i < i2 or i == i2 and n <= n2
+                (early if ordered else late).append((i, n, x, qx))
+        echelon = Echelon()
+        for i, n, x, qx in early + late:
+            q = charges[i] + qx
+            if not room.get((w, q)):
+                continue
+            prod: dict = {}
+            _accumulate(prod, basis, gens[i], n, x, 1)
+            if prod and echelon.insert(
+                    {labels[mon]: c for mon, c in prod.items()}):
+                accepted.append((prod, w, q, i, n))
+                room[w, q] -= 1
+        ranks[w] = echelon.rank
+    return ranks
 
 
 def _charge(terms: dict):
@@ -477,23 +490,13 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
 
     The strong span C is the closure of the vacuum under all negative modes
     u_n (n <= -1) of the generators, computed weight by weight with exact
-    rank bookkeeping.  Every generator must be homogeneous (``_close`` files
-    s_n x under the weight ws + wx - n - 1) and invariant under the group.
+    rank bookkeeping (``_close``).  Every generator must be homogeneous
+    (``_close`` files s_n x under the weight ws + wx - n - 1) and invariant
+    under the group.  G acts by automorphisms, so C lies in the invariants
+    V^G, whose dimensions, from Burnside, are the targets.
 
-    A first pass closes the vacuum under ordered generator monomials only
-    (see ``_close``), the spanning set of a strongly generated vertex
-    algebra (De Sole-Kac, CMP 2006).  This is sound without assuming that
-    claim.  Every vector it queues is a product s_n x with x already in C,
-    so its span O satisfies O_w <= C_w <= V^G_w at every weight w: the
-    generators are checked invariant and G acts by automorphisms, so C lies
-    in the invariants.  The targets are dim V^G_w exactly, from Burnside.
-    Hence dim O_w = target at every weight gives dim C_w = target, and the
-    ranks reported are exact.  If any weight falls short, the ordered pass
-    proves nothing, and the full closure, with every mode applied to every
-    spanning vector, is run instead, so deficits are exact as well.
-
-    Both passes run in the rank-2 factor when the generating set splits off
-    the free boson b1: the basis is ``b``, at least one generator is a
+    The closure runs in the rank-2 factor when the generating set splits
+    off the free boson b1: the basis is ``b``, at least one generator is a
     nonzero rational multiple of b1(-1), and no other generator S' has a
     mode of field 1.  In the ``b`` basis field 1 pairs only with itself, so
     H(3) = H(1) (x) H(2), H(1) built by the modes of b1 and H(2) by those of
@@ -505,27 +508,24 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     H(2) to itself, so V^G = H(1) (x) H(2)^G, and the rank-2 targets
     dim H(2)^G_w = target_w - sum_{k>=1} p(k) dim H(2)^G_(w-k) are the
     targets times prod_{n>=1} (1 - q^n) (``_rank2_dims``).  C' lies in
-    H(2)^G, so the argument above certifies C' = H(2)^G up to max_weight
-    when the ordered pass on S' meets the rank-2 targets, and runs the full
-    closure on S' when it does not; both give dim C'_w exactly, hence
-    dim C_w.  Since p(0) = 1, C = V^G up to max_weight exactly when
+    H(2)^G.  Since p(0) = 1, C = V^G up to max_weight exactly when
     C' = H(2)^G, and the dims, and so the report, are those of the closure
     in H(3).  Any other generating set (the ``a`` basis, no multiple of
     b1(-1), a Q(z) multiple of it, another generator with a field-1 mode)
-    runs both passes in H(3).
+    is closed in H(3).
 
-    Both passes skip the products that land in a full grade of one room
-    (``_close``), built once here.  For Z3 in the ``b`` basis, when every
-    state closed (S', or all of them if none is split off) has no mode of
-    field 1 and a single charge q, b2 modes minus b3 modes (``_charge``),
-    the grades are (weight, charge).  In the ``b`` basis b2 pairs only with
-    b3 and b1 with itself, so each contraction removes one b2 and one b3
-    mode, or two b1 modes, and raised modes keep their field: q adds under
-    every mode product, and the closure lies in H(2).  It lies in the
-    invariants too, so its block (w, q) lies in H(2)^Z3_(w,q), whose
-    dimension ``_z3_block_dims`` counts.  Every other set gets charge 0 on
-    every state, and its room at weight w is the goal that the closed span
-    lies under: the target, or the rank-2 target after the split.
+    The closure skips the products that land in a full grade of one room
+    (``_close``), built here.  For Z3 in the ``b`` basis, when every state
+    closed (S', or all of them if none is split off) has no mode of field 1
+    and a single charge q, b2 modes minus b3 modes (``_charge``), the grades
+    are (weight, charge).  In the ``b`` basis b2 pairs only with b3 and b1
+    with itself, so each contraction removes one b2 and one b3 mode, or two
+    b1 modes, and raised modes keep their field: q adds under every mode
+    product, and the closure lies in H(2).  It lies in the invariants too,
+    so its block (w, q) lies in H(2)^Z3_(w,q), whose dimension
+    ``_z3_block_dims`` counts.  Every other set gets charge 0 on every
+    state, and its room at weight w is the goal that the closed span lies
+    under: the target, or the rank-2 target after the split.
     """
     from .qseries import ORBIFOLD_GROUPS
     if group not in ORBIFOLD_GROUPS:
@@ -564,9 +564,7 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     else:
         charges = [0] * len(closed)
         room = {(w, 0): d for w, d in goal.items()}
-    dims = _close(closed, charges, room, max_weight, basis, ordered=True)
-    if dims != goal:
-        dims = _close(closed, charges, room, max_weight, basis, ordered=False)
+    dims = _close(closed, charges, room, max_weight, basis)
     if rest is not None:
         dims = _with_free_boson(dims)
     matched = {w: dims[w] == target[w] for w in range(max_weight + 1)}

@@ -295,16 +295,16 @@ def test_product_memo_holds_integers_after_a_span():
 
 
 #: strong-span dims of the paper's generating sets; they equal the invariant
-#: dims at every weight.  Recorded with the full closure (every negative mode
-#: on every spanning vector) through S3 weight 9 and Z3 weight 10, and past
-#: that with the ordered pass, which the Burnside targets certify
+#: dims at every weight.  Recorded with the LIFO closure (every negative mode
+#: on every spanning vector, as ``_reference_close``) through S3 weight 9 and
+#: Z3 weight 10, and past that with the weight-by-weight closure
 S3_SPAN_DIMS = [1, 1, 3, 6, 13, 24, 49, 87, 162, 284, 499]
 Z3_SPAN_DIMS = [1, 1, 3, 8, 17, 36, 75, 143, 270, 495, 880, 1533, 2626]
 
-#: dims with one generator dropped, recorded with the full closure: S3 through
-#: weight 6, Z3 through weight 7.  In 10 of the 16 cases the ordered monomials
-#: of the remaining generators span less than this, so these test the fallback
-#: to the full closure
+#: dims with one generator dropped, recorded with the LIFO closure: S3 through
+#: weight 6, Z3 through weight 7.  In 10 of the 16 cases ``_close`` accepts
+#: products that extend no ordered monomial, so these test the pairs it tries
+#: after the ordered ones
 DROP_SPAN_DIMS = {
     ("S3", "omega1(0)"): [1, 0, 1, 2, 4, 7, 14],
     ("S3", "omega2(0,0)"): [1, 1, 2, 4, 9, 16, 31],
@@ -361,25 +361,24 @@ def test_single_drop_dims_are_pinned(group, dropped):
     assert not rep.all_matched
 
 
-def _reference_close(states, max_weight, basis, ordered):
-    """The closure over Q: rational FockState products, echelon rows keyed
-    by monomials; ``structure._close`` must give the same ranks."""
+def _reference_close(states, max_weight, basis):
+    """The closure over Q, last in first out: every negative mode of every
+    state on every vector that enlarged its weight's span, as rational
+    FockState products, echelon rows keyed by monomials;
+    ``structure._close`` must give the same ranks."""
     echelons = [Echelon() for _ in range(max_weight + 1)]
     vac = FockState.vacuum(3, basis)
     echelons[0].insert(vac.terms)
     weights = [s.max_weight() for s in states]
-    queue = [(vac, 0, len(states), 0)]
+    queue = [(vac, 0)]
     while queue:
-        x, wx, i2, n2 = queue.pop()
-        for i, (s, ws) in enumerate(zip(states, weights)):
-            if ordered and i > i2:
-                break
-            top = n2 if ordered and i == i2 else -1
-            for n in range(top, ws + wx - max_weight - 2, -1):
+        x, wx = queue.pop()
+        for s, ws in zip(states, weights):
+            for n in range(-1, ws + wx - max_weight - 2, -1):
                 prod = nth_product(s, n, x)
                 w = prod.max_weight()
                 if not prod.is_zero() and echelons[w].insert(prod.terms):
-                    queue.append((prod, w, i, n))
+                    queue.append((prod, w))
     return {w: e.rank for w, e in enumerate(echelons)}
 
 
@@ -387,7 +386,8 @@ def _reference_close(states, max_weight, basis, ordered):
 def _generator_families(draw):
     """(group, scaled generator states, max weight): a random subset of a
     paper generating set, in random order, each scaled by a random nonzero
-    rational, the S3 set in either basis."""
+    rational, the S3 set in either basis, sometimes with the vacuum, a
+    generator of weight 0, at a random place."""
     group = draw(st.sampled_from(["S3", "Z3"]))
     ids = _generating_set(group)
     picks = draw(st.lists(st.sampled_from(range(len(ids))), unique=True,
@@ -396,6 +396,9 @@ def _generator_families(draw):
     scales = st.fractions(-9, 9, max_denominator=9).filter(bool)
     states = [change_basis(build_generator(ids[k]), basis).scale(draw(scales))
               for k in picks]
+    if draw(st.booleans()):
+        states.insert(draw(st.integers(0, len(states))),
+                      FockState.vacuum(3, basis).scale(draw(scales)))
     return group, states, draw(st.integers(0, 6))
 
 
@@ -412,47 +415,44 @@ def test_span_dims_equal_the_rational_closure(family):
     # reference closure does not have
     group, states, max_weight = family
     basis = states[0].basis if states else "a"
-    full = _reference_close(states, max_weight, basis, ordered=False)
+    full = _reference_close(states, max_weight, basis)
     assert span_dims(states, max_weight, group).dims_spanned == full
     room = {(w, 0): d
             for w, d in structure._target_dims(group, max_weight).items()}
-    for ordered in (True, False):
-        assert (structure._close(states, [0] * len(states), room, max_weight,
-                                 basis, ordered)
-                == _reference_close(states, max_weight, basis, ordered))
+    assert structure._close(states, [0] * len(states), room, max_weight,
+                            basis) == full
 
 
 def test_span_forms_the_same_products_as_the_rational_closure():
-    # the memo holds exactly the monomial products asked for; its size after
-    # the ordered pass over the whole Z3 set at weight 10 is the one the
-    # rational, monomial-keyed closure leaves
+    # the memo holds exactly the monomial products asked for; with a room
+    # that never fills, _close forms every mode of every generator on every
+    # accepted vector, and so asks for the same ones as the rational,
+    # monomial-keyed closure of the whole Z3 set at weight 10
     from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
     clear_product_cache()
     states = [build_generator(g) for g in Z3_GENERATOR_IDS]
-    structure._close(states, [0] * len(states), _open_room(10), 10, BETA,
-                     ordered=True)
-    assert len(_PRODUCT_CACHE) == 2151
+    structure._close(states, [0] * len(states), _open_room(10), 10, BETA)
+    formed = set(_PRODUCT_CACHE)
+    clear_product_cache()
+    _reference_close(states, 10, BETA)
+    assert set(_PRODUCT_CACHE) == formed
+    assert len(formed) == 5476
 
 
 def test_span_in_the_rank2_factor_forms_fewer_products():
-    # span_dims splits off omega1_0 = b1(-1) and closes the rest in H(2)
-    # (the ordered pass certifies, so only it runs)
+    # span_dims splits off omega1_0 = b1(-1) and closes the rest in H(2),
+    # where the ordered pairs fill every charge block and no other is formed
     from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
     clear_product_cache()
     span_dims(Z3_GENERATOR_IDS, 10, "Z3")
-    assert len(_PRODUCT_CACHE) == 581
+    assert len(_PRODUCT_CACHE) == 461
 
 
-def _unreduced_dims(gens, max_weight, group):
-    """The ranks of the closure in H(3): the ordered pass, and the full
-    closure where it misses the targets."""
+def _unreduced_dims(gens, max_weight):
+    """The ranks of the closure in H(3), with a room that never fills."""
     states = [build_generator(g) for g in gens]
-    target = structure._target_dims(group, max_weight)
-    args = (states, [0] * len(states), _open_room(max_weight), max_weight, BETA)
-    dims = structure._close(*args, ordered=True)
-    if dims != target:
-        dims = structure._close(*args, ordered=False)
-    return dims
+    return structure._close(states, [0] * len(states),
+                            _open_room(max_weight), max_weight, BETA)
 
 
 @pytest.mark.parametrize("dropped", [None] + [str(g) for g in Z3_GENERATOR_IDS[1:]])
@@ -461,7 +461,7 @@ def test_rank2_span_equals_the_closure_in_h3(dropped):
     assert structure._field1_free_rest([build_generator(g) for g in gens],
                                        BETA) is not None
     rep = span_dims(gens, 10, "Z3")
-    assert rep.dims_spanned == _unreduced_dims(gens, 10, "Z3")
+    assert rep.dims_spanned == _unreduced_dims(gens, 10)
     assert rep.all_matched == (dropped is None)
 
 
@@ -487,8 +487,8 @@ def test_free_boson_factor_gives_the_targets_exactly_at_the_rank2_targets(
 
 
 def test_span_without_the_free_boson_split_closes_every_generator(monkeypatch):
-    # the a-basis S3 set and the Z3 set without omega1_0 run both passes on
-    # every generator, as before the split; the full Z3 set splits it off
+    # the a-basis S3 set and the Z3 set without omega1_0 close every
+    # generator, as before the split; the full Z3 set splits it off
     sizes = []
     close = structure._close
 
@@ -608,20 +608,20 @@ _ROOM_CASES = (
 @pytest.mark.parametrize("group, ids, max_weight, dropped", _ROOM_CASES)
 def test_full_charge_blocks_skip_only_products_insert_rejects(
         monkeypatch, group, ids, max_weight, dropped):
-    # every pass span_dims runs, with its room and with one that never
-    # fills: the same echelon rows, and never more inserts
+    # span_dims closes once, matched or not; with its room and with one
+    # that never fills: the same echelon rows, and never more inserts
     gens = [g for g in ids if str(g) != dropped]
     calls = _close_calls(monkeypatch, gens, max_weight, group)
-    assert [kw["ordered"] for _, kw in calls] == [True] + [False] * bool(dropped)
-    for (states, charges, room, *rest), kwargs in calls:
-        on = _recorded_close(monkeypatch, states, charges, room, *rest, **kwargs)
-        off = _recorded_close(monkeypatch, states, charges,
-                              _open_room(max_weight), *rest, **kwargs)
-        assert on[:2] == off[:2], kwargs
-        assert on[2] <= off[2], kwargs
-        # the paper's Z3 set fills charge blocks before its last products
-        if group == "Z3" and dropped is None:
-            assert on[2] < off[2]
+    assert len(calls) == 1
+    ((states, charges, room, *rest), kwargs), = calls
+    on = _recorded_close(monkeypatch, states, charges, room, *rest, **kwargs)
+    off = _recorded_close(monkeypatch, states, charges,
+                          _open_room(max_weight), *rest, **kwargs)
+    assert on[:2] == off[:2]
+    assert on[2] <= off[2]
+    # the paper's Z3 set fills charge blocks before its last products
+    if group == "Z3" and dropped is None:
+        assert on[2] < off[2]
 
 
 def test_span_dims_gives_each_set_its_room(monkeypatch):
