@@ -9,8 +9,8 @@ the modular identities and quantum dimensions numerically.
 __version__ = "1.0.0"
 
 from .scalars import Scalar, ZETA, parse_rational, parse_scalar
-from .fock import (ALPHA, BETA, DEFAULT_TRUNCATION, FockState, change_basis,
-                   enumerate_basis, parse_state)
+from .fock import (ALPHA, BETA, FockState, change_basis, enumerate_basis,
+                   parse_state)
 from .vertex import (check_borcherds, check_skew_symmetry, conformal_vector,
                      is_primary, nth_product, translate, translate_power,
                      virasoro_mode)

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .fock import DEFAULT_TRUNCATION, enumerate_basis, FockState, parse_state
-from .qseries import MAX_SERIES_ORDER, burnside_check, character
+from .fock import enumerate_basis, FockState, parse_state
+from .qseries import DEFAULT_ORDER, MAX_SERIES_ORDER, burnside_check, character
 from .modular import check_gauss_identity, qdim_estimate, DEFAULT_TOL
 from .scalars import parse_rational
 from .structure import MAX_SPAN_WEIGHT
@@ -187,10 +187,11 @@ def cmd_verify(args, parser):
 def _parse_generator(text):
     from .symmetry import GeneratorId
     name, _, idx = text.partition("(")
-    if not idx.endswith(")"):
+    body = idx[:-1]
+    positions = body.split(",") if body else []
+    if not idx.endswith(")") or not all(p.strip() for p in positions):
         raise ValueError(f"malformed generator {text!r}")
-    indices = tuple(int(x) for x in idx[:-1].split(",") if x != "")
-    return GeneratorId(name, indices)
+    return GeneratorId(name, tuple(map(int, positions)))
 
 
 def cmd_span(args, parser):
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="graded dimension table")
     p.add_argument("--max-weight", type=_int_range(0, MAX_SERIES_ORDER),
-                   default=DEFAULT_TRUNCATION)
+                   default=DEFAULT_ORDER)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("char", help="character series")
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["s3", "z3", "sgn", "st", "vac", "fock", "theta",
                             "sigma", "w-free"])
     p.add_argument("--order", type=_int_range(0, MAX_SERIES_ORDER),
-                   default=DEFAULT_TRUNCATION)
+                   default=DEFAULT_ORDER)
     p.add_argument("--weights", default="",
                    help="comma-separated rationals; a list that starts "
                         "with a minus sign takes the form --weights=-1,0,1")

@@ -25,8 +25,6 @@ from .scalars import ZETA, Scalar, parse_scalar, split_terms
 Monomial = Tuple[Tuple[int, int], ...]
 Coeff = Union[Fraction, Scalar]
 
-DEFAULT_TRUNCATION = 12
-
 ALPHA = "a"
 BETA = "b"
 
@@ -282,12 +280,13 @@ def _enumerate(rank: int, remaining: int, max_level: int,
 # Unnormalized substitution matrices between the two rank-3 bases.  With
 # z a primitive cube root of unity:
 #   b_1 ~ a_1 + a_2 + a_3,  b_2 ~ a_1 + z^2 a_2 + z a_3,  b_3 ~ a_1 + z a_2 + z^2 a_3
-# and the inverse pattern uses the conjugate matrix.  The honest change of
-# basis carries 1/sqrt(3) per mode; sqrt(3) is irrational, so conversion
-# scales a k-mode monomial by 3^(-ceil(k/2)) going to "a" and 3^(-floor(k/2))
-# going to "b".  Even-length monomials convert exactly; odd-length ones are
-# off by one factor of sqrt(3) in a fixed documented direction, and the
-# round trip is the identity.
+# and the inverse pattern uses the entry-wise conjugate matrix: the matrix is
+# symmetric, so that is its adjoint, and the two compose to 3 times the
+# identity.  The honest change of basis carries 1/sqrt(3) per mode; sqrt(3)
+# is irrational, so conversion scales a k-mode monomial by 3^(-ceil(k/2))
+# going to "a" and 3^(-floor(k/2)) going to "b".  Even-length monomials
+# convert exactly; odd-length ones are off by one factor of sqrt(3) in a
+# fixed documented direction, and the round trip is the identity.
 
 _Z = Scalar(0, 1)
 _Z2 = Scalar(-1, -1)
@@ -298,11 +297,8 @@ _B_TO_A = {
     2: ((1, _ONE_S), (2, _Z2), (3, _Z)),
     3: ((1, _ONE_S), (2, _Z), (3, _Z2)),
 }
-_A_TO_B = {
-    1: ((1, _ONE_S), (2, _ONE_S), (3, _ONE_S)),
-    2: ((1, _ONE_S), (2, _Z), (3, _Z2)),
-    3: ((1, _ONE_S), (2, _Z2), (3, _Z)),
-}
+_A_TO_B = {f: tuple((g, w.conjugate()) for g, w in row)
+           for f, row in _B_TO_A.items()}
 
 
 def change_basis(state: FockState, target: str) -> FockState:

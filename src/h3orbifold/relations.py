@@ -27,10 +27,6 @@ from .vertex import nth_product as P
 from .vertex import translate_power as Tk   # v_{-1-k} |0> = T^k v / k!
 
 
-def w1(a):
-    return gen("omega1_0", a)
-
-
 def w2(a, b):
     return gen("omega2_0", a, b)
 
@@ -318,7 +314,6 @@ class RelationEntry:
     name: str
     label: str
     builder: object
-    arity: int
     default_instances: tuple
     status: str
     suite: str
@@ -328,57 +323,57 @@ class RelationEntry:
 CATALOG = {r.name: r for r in [
     RelationEntry(
         "setup_deriv_1", "cubic (0,0,1) from the translation of (0,0,0)",
-        _setup_deriv_1, 0, ((),), "as-printed", "s3-relations"),
+        _setup_deriv_1, ((),), "as-printed", "s3-relations"),
     RelationEntry(
         "setup_deriv_2", "cubic (0,1,1) from (0,0,2) and a translation image",
-        _setup_deriv_2, 0, ((),), "corrected", "s3-relations",
+        _setup_deriv_2, ((),), "corrected", "s3-relations",
         "translation coefficient reads 2/3 in the display; the identity "
         "requires 1/3 (unique completion in the displayed shape)"),
     RelationEntry(
         "setup_deriv_3", "cubic (0,0,3) from (0,1,2) and a translation image",
-        _setup_deriv_3, 0, ((),), "as-printed", "s3-relations"),
+        _setup_deriv_3, ((),), "as-printed", "s3-relations"),
     RelationEntry(
         "big_deriv_1", "cubic (0,1,3) reduction",
-        _big_deriv_1, 0, ((),), "corrected", "s3-relations",
+        _big_deriv_1, ((),), "corrected", "s3-relations",
         "displayed right-hand side is the true one multiplied by 1/24"),
     RelationEntry(
         "big_deriv_2", "cubic (0,2,2) reduction",
-        _big_deriv_2, 0, ((),), "as-printed", "s3-relations"),
+        _big_deriv_2, ((),), "as-printed", "s3-relations"),
     RelationEntry(
         "big_deriv_3", "cubic (0,2,3) reduction",
-        _big_deriv_3, 0, ((),), "corrected", "s3-relations",
+        _big_deriv_3, ((),), "corrected", "s3-relations",
         "displayed right-hand side is scaled by 1/12 and one denominator "
         "reads 35 for 36; stored coefficients are the unique completion"),
     RelationEntry(
         "big_deriv_4", "cubic (0,3,3) reduction",
-        _big_deriv_4, 0, ((),), "corrected", "s3-relations",
+        _big_deriv_4, ((),), "corrected", "s3-relations",
         "displayed right-hand side is the true one multiplied by 1/4"),
     RelationEntry(
         "big_deriv_5", "cubic (0,3,4) reduction",
-        _big_deriv_5, 0, ((),), "as-printed", "s3-relations"),
+        _big_deriv_5, ((),), "as-printed", "s3-relations"),
     RelationEntry(
         "big_deriv_6", "cubic (0,4,4) reduction",
-        _big_deriv_6, 0, ((),), "as-printed", "s3-relations"),
+        _big_deriv_6, ((),), "as-printed", "s3-relations"),
     RelationEntry(
         "quaddec_06", "weight-8 quadratic generator decoupling (15 terms)",
-        _quaddec_06, 0, ((),), "corrected", "s3-relations",
+        _quaddec_06, ((),), "corrected", "s3-relations",
         "14 of 15 displayed terms verify verbatim; the displayed term "
         "(1/4452) w2(0,0).w2(0,0).w2(0,1) must read "
         "(1/8904) w2(0,0).w2(0,0).w2(1,1); no assignment exists on the "
         "displayed support"),
     RelationEntry(
         "step1_004", "weight-7 cubic generator decoupling",
-        _step1_004, 0, ((),), "corrected", "s3-relations",
+        _step1_004, ((),), "corrected", "s3-relations",
         "displayed right-hand side is the true one multiplied by 24"),
     RelationEntry(
         "step2_024", "weight-9 cubic generator decoupling",
-        _step2_024, 0, ((),), "reformulated", "s3-relations",
+        _step2_024, ((),), "reformulated", "s3-relations",
         "the display mixes terms of conformal weights 9 and 10 and admits no "
         "assignment on its weight-consistent subset; stored relation is the "
         "canonical 12-term decoupling solved over the displayed shape family"),
     RelationEntry(
         "step4", "induction-tail decoupling shape certificate",
-        _step4, 2, ((5, 6), (5, 7), (6, 7)), "reformulated", "s3-relations",
+        _step4, ((5, 6), (5, 7), (6, 7)), "reformulated", "s3-relations",
         "the displayed source pattern has inconsistent weight; the pattern "
         "(b, a-1, 0, 0, 0) produces a decoupling supported on exactly the "
         "three displayed generator labels, which is what is verified; the "
@@ -386,26 +381,26 @@ CATALOG = {r.name: r for r in [
         "elimination path in an overcomplete family and are not reproducible"),
     RelationEntry(
         "z3_quad_D2", "cyclic quadratic tool: expansion, flip and reduction",
-        _z3_quad_D2, 1, ((0,), (1,), (2,), (3,), (4,)), "as-printed",
+        _z3_quad_D2, ((0,), (1,), (2,), (3,), (4,)), "as-printed",
         "z3-relations"),
     RelationEntry(
         "z3_quad_05", "cyclic weight-7 quadratic decoupling",
-        _z3_quad_05, 0, ((),), "as-printed", "z3-relations"),
+        _z3_quad_05, ((),), "as-printed", "z3-relations"),
     RelationEntry(
         "z3_cubic_D3", "cyclic cubic tool is quintic-free",
-        _z3_cubic_D3, 2, ((0, 1), (1, 1), (2, 1), (0, 2), (1, 2)),
+        _z3_cubic_D3, ((0, 1), (1, 1), (2, 1), (0, 2), (1, 2)),
         "as-printed", "z3-relations"),
     RelationEntry(
         "z3_cubic_0a", "cyclic cubic decoupling of (0,0,a)",
-        _z3_cubic_0a, 1, ((3,), (4,), (5,), (6,)), "as-printed",
+        _z3_cubic_0a, ((3,), (4,), (5,), (6,)), "as-printed",
         "z3-relations"),
     RelationEntry(
         "z3_cubic_ab", "cyclic cubic decoupling of (0,a,b)",
-        _z3_cubic_ab, 2, ((2, 2), (2, 3), (3, 3), (2, 4)), "as-printed",
+        _z3_cubic_ab, ((2, 2), (2, 3), (3, 3), (2, 4)), "as-printed",
         "z3-relations"),
     RelationEntry(
         "z3_cubic_01a", "cyclic cubic decoupling of (0,1,a)",
-        _z3_cubic_01a, 1, ((1,), (2,), (3,), (4,), (5,)), "as-printed",
+        _z3_cubic_01a, ((1,), (2,), (3,), (4,), (5,)), "as-printed",
         "z3-relations"),
 ]}
 
@@ -416,8 +411,9 @@ def verify_relation(name: str, params=()) -> FockState:
     if spec is None:
         raise ValueError(f"unknown relation {name!r}")
     params = tuple(params)
-    if len(params) != spec.arity:
-        raise ValueError(f"{name} takes {spec.arity} parameters")
+    arity = len(spec.default_instances[0])
+    if len(params) != arity:
+        raise ValueError(f"{name} takes {arity} parameters")
     return spec.builder(*params)
 
 

@@ -16,8 +16,7 @@ from .linalg import Echelon, SolverBasis, _integral, _primitive, det_bareiss
 from .symmetry import GeneratorId, build_generator, gen, is_invariant
 from .vertex import _accumulate, _add_into, _product, _scaled, _unscaled
 
-#: largest weight span_dims (and ``h3orb span`` / ``product``) accepts;
-#: ``_label`` needs it at most 15
+#: largest weight span_dims (and ``h3orb span`` / ``product``) accepts
 MAX_SPAN_WEIGHT = 12
 #: even arguments sampled by det_A_even_polynomial: one more than its degree
 #: needs, so the last sample checks the interpolation
@@ -288,19 +287,21 @@ def _target_dims(group: str, max_weight: int) -> dict:
 def _label(mon, max_weight: int) -> int:
     """Integer label of a monomial of weight at most max_weight.
 
-    Each mode (level, field) is the base-64 digit 4 * level + field, which
-    lies in 5..63 for levels up to 15 and fields 1..3 and orders modes as
-    tuples do.  The digits, padded on the right with zeros to max_weight of
-    them (a monomial has at most as many modes as its weight), make a
-    number, and the label is that number negated.  No digit is zero, so the
-    padding fixes the number of modes and labels are injective; a zero pad
-    sorts below every digit, as a tuple prefix sorts first, so labels
-    strictly reverse the tuple order.
+    Each mode (level, field) is the digit 4 * level + field, written in
+    width = (4 * max_weight + 3).bit_length() bits (at most 6 through
+    weight 15), which hold every digit of a level up to max_weight and a
+    field 1..3; the digits order modes as tuples do.  The digits, padded on
+    the right with zeros to max_weight of them (a monomial has at most as
+    many modes as its weight), make a number, and the label is that number
+    negated.  No digit is zero, so the padding fixes the number of modes
+    and labels are injective; a zero pad sorts below every digit, as a
+    tuple prefix sorts first, so labels strictly reverse the tuple order.
     """
+    width = (4 * max_weight + 3).bit_length()
     code = 0
     for level, field in mon:
-        code = (code << 6) | (4 * level + field)
-    return -(code << 6 * (max_weight - len(mon)))
+        code = (code << width) | (4 * level + field)
+    return -(code << width * (max_weight - len(mon)))
 
 
 class _Labels(dict):
@@ -463,26 +464,17 @@ def _field1_free_rest(states, basis: str):
     return rest
 
 
-def _partitions(max_weight: int) -> list:
-    """p(0), ..., p(max_weight), the graded dims of H(1)."""
+def _with_free_boson(dims: dict, remove: bool = False) -> dict:
+    """The graded dims of H(1) (x) C' from those of C' (``dims``): dims
+    times prod_{n>=1} (1 - q^n)^(-1), whose coefficients are the partition
+    numbers p(k).  With ``remove``, the inverse: dims times Euler's
+    pentagonal series prod_{n>=1} (1 - q^n).  Both rows are those of
+    ``qseries._euler_product``."""
     from .qseries import _euler_product
-    return _euler_product(1, max_weight, (1,))
-
-
-def _with_free_boson(ranks: dict) -> dict:
-    """Graded dims of H(1) (x) C' from those of C': sum_k p(k) ranks[w-k]."""
-    p = _partitions(len(ranks) - 1)
-    return {w: sum(p[k] * ranks[w - k] for k in range(w + 1)) for w in ranks}
-
-
-def _rank2_dims(dims: dict) -> dict:
-    """The inverse of ``_with_free_boson``:
-    d'_w = d_w - sum_{k>=1} p(k) d'_(w-k)."""
-    p = _partitions(len(dims) - 1)
-    out: dict = {}
-    for w in dims:
-        out[w] = dims[w] - sum(p[k] * out[w - k] for k in range(1, w + 1))
-    return out
+    top = len(dims) - 1
+    row = (_euler_product(1, top, (), range(1, top + 1)) if remove
+           else _euler_product(1, top, (1,)))
+    return {w: sum(row[k] * dims[w - k] for k in range(w + 1)) for w in dims}
 
 
 def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
@@ -506,8 +498,8 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     strong span of S' alone, and dim C_w = sum_k p(k) dim C'_(w-k), p the
     partition numbers (``_with_free_boson``).  G fixes b1 and maps
     H(2) to itself, so V^G = H(1) (x) H(2)^G, and the rank-2 targets
-    dim H(2)^G_w = target_w - sum_{k>=1} p(k) dim H(2)^G_(w-k) are the
-    targets times prod_{n>=1} (1 - q^n) (``_rank2_dims``).  C' lies in
+    dim H(2)^G_w are the targets times prod_{n>=1} (1 - q^n)
+    (``_with_free_boson`` with ``remove``).  C' lies in
     H(2)^G.  Since p(0) = 1, C = V^G up to max_weight exactly when
     C' = H(2)^G, and the dims, and so the report, are those of the closure
     in H(3).  Any other generating set (the ``a`` basis, no multiple of
@@ -557,7 +549,7 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     target = _target_dims(group, max_weight)
     rest = _field1_free_rest(states, basis)
     closed, goal = ((states, target) if rest is None
-                    else (rest, _rank2_dims(target)))
+                    else (rest, _with_free_boson(target, remove=True)))
     charges = [_charge(s.terms) for s in closed]
     if group == "Z3" and basis == BETA and None not in charges:
         room = _z3_block_dims(max_weight)
@@ -583,15 +575,8 @@ S3_GENERATOR_IDS = [
 
 #: the S3 generating type (1, 2, 3, 4, 5, 6, 6) in the diagonal basis: b1
 #: and field-1-free states, so ``span_dims`` runs in the rank-2 factor
-S3_DIAGONAL_GENERATOR_IDS = [
-    GeneratorId("omega1_0", (0,)),
-    GeneratorId("omega2_0", (0, 0)),
-    GeneratorId("omega2_0", (0, 2)),
-    GeneratorId("omega2_0", (0, 4)),
-    GeneratorId("omega3_0", (0, 0, 0)),
-    GeneratorId("omega3_0", (0, 0, 2)),
-    GeneratorId("omega3_0", (0, 1, 2)),
-]
+S3_DIAGONAL_GENERATOR_IDS = [GeneratorId(g.family + "_0", g.indices)
+                             for g in S3_GENERATOR_IDS]
 
 Z3_GENERATOR_IDS = [
     GeneratorId("omega1_0", (0,)),

@@ -5,7 +5,8 @@ On the standard basis a permutation just relabels field indices.  On the
 diagonalized rank-3 basis the induced action is monomial: transpositions swap
 fields 2 and 3 (possibly with a cube-root-of-unity factor) and 3-cycles scale
 fields 2 and 3 by z and z^2.  The action matrices are derived once, exactly,
-from the change-of-basis matrices, so no case analysis is hard-coded.
+through ``fock.change_basis`` from the action on the standard basis, so no
+case analysis is hard-coded.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _perms
 
-from .fock import ALPHA, BETA, FockState, canonical
-from .scalars import Scalar
+from .fock import ALPHA, BETA, FockState, canonical, change_basis
 from .vertex import nth_product
-from . import fock as _fock
 
 
 class Permutation:
@@ -83,28 +82,18 @@ GROUPS = {
 @lru_cache(maxsize=None)
 def _beta_action_table(images: tuple) -> tuple:
     """For a rank-3 permutation, the monomial matrix of its action on the
-    diagonalized basis: field -> (scalar, new_field)."""
+    diagonalized basis: field -> (scalar, new_field).  Each mode b_f(-1) is
+    moved to the standard basis, permuted there and moved back."""
     sigma = Permutation(images)
-    inv = sigma.inverse()
-    m_b2a = _fock._B_TO_A
-    m_a2b = _fock._A_TO_B
-    table = {}
-    for a in (1, 2, 3):
-        # sigma . b_a = sum_j coeff(sigma^-1 j) a_j, re-expanded over b;
-        # the 1/sqrt(3) factors combine to exactly 1/3
-        row = {}
-        b2a = dict(m_b2a[a])
-        for j in (1, 2, 3):
-            cj = b2a[inv(j)]
-            for b, w in m_a2b[j]:
-                cur = row.get(b, Scalar(0))
-                row[b] = cur + cj * w
-        entries = [(b, c * Fraction(1, 3)) for b, c in row.items() if c * Fraction(1, 3)]
-        if len(entries) != 1:
+    table = []
+    for f in (1, 2, 3):
+        b_f = FockState.monomial(3, [(1, f)], basis=BETA)
+        image = change_basis(act(sigma, change_basis(b_f, ALPHA)), BETA)
+        if len(image.terms) != 1:
             raise AssertionError("group action is not monomial in this basis")
-        b, c = entries[0]
-        table[a] = (c, b)
-    return tuple(table[a] for a in (1, 2, 3))
+        (((_, new_field),), c), = image.terms.items()
+        table.append((c, new_field))
+    return tuple(table)
 
 
 def act(sigma: Permutation, v: FockState) -> FockState:
@@ -215,7 +204,6 @@ def verify_generator_translation(a: int, b: int = None, c: int = None) -> FockSt
     (the square root powers all collapse to integral powers of 3 because the
     identities are homogeneous in the number of modes.)  Returns LHS - RHS.
     """
-    from .fock import change_basis
     if b is None:
         lhs = change_basis(gen("omega1", a), BETA)
         return lhs - gen("omega1_0", a).scale(Fraction(3))

@@ -303,12 +303,9 @@ def translate(v: FockState) -> FockState:
 def conformal_vector(rank: int, basis: str = ALPHA) -> FockState:
     """omega = (1/2) sum_i x_i(-1) x_pair(i)(-1) |0> for the basis pairing."""
     out = FockState(rank, basis)
-    if basis == ALPHA:
-        for i in range(1, rank + 1):
-            out._add_term(canonical(((1, i), (1, i))), Fraction(1, 2))
-    else:
-        out._add_term(canonical(((1, 1), (1, 1))), Fraction(1, 2))
-        out._add_term(canonical(((1, 2), (1, 3))), Fraction(1))
+    for i in range(1, rank + 1):
+        pair = _BETA_PAIR[i] if basis == BETA else i
+        out._add_term(canonical(((1, i), (1, pair))), Fraction(1, 2))
     return out
 
 

@@ -70,6 +70,11 @@ def test_span_drop_shows_deficit(capsys):
     assert data["first_deficit"] == 4
     code, _ = run_cli(capsys, "span", "--group", "s3", "--drop", "omega9(1)")
     assert code == 2
+    # spaces around the indices are read
+    code, out = run_cli(capsys, "span", "--group", "s3", "--max-weight", "4",
+                        "--drop", "omega2(0, 2)", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dropped"] == "omega2(0,2)"
 
 
 def test_char_command(capsys):
@@ -192,6 +197,10 @@ def refuse_big_exponents(monkeypatch):
     ["modular", "--tau=-i"],
     ["char", "--which", "w-free"],
     ["span", "--drop", "omega9(1)"],
+    # an empty index position is refused, not skipped
+    ["span", "--drop", "omega3(0,,1,2)"],
+    ["span", "--drop", "omega3(0,1,2,)"],
+    ["span", "--drop", "omega3(,0,1,2)"],
     ["modular", "--tau", "i/10000"],
     ["modular", "--tau", "10000i", "--quadrature"],
     ["modular", "--tau=1e20"],

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from h3orbifold import fock
 from h3orbifold.fock import (ALPHA, BETA, FockState, canonical, change_basis,
                              enumerate_basis, parse_state)
 from h3orbifold.qseries import burnside_trace
@@ -100,6 +101,16 @@ def test_enumerate_canonical_unique():
         mons = enumerate_basis(3, w)
         assert len(set(mons)) == len(mons)
         assert all(canonical(m) == m for m in mons)
+
+
+def test_basis_change_matrices_compose_to_three_times_the_identity():
+    # _A_TO_B is the entry-wise conjugate of _B_TO_A
+    for f in (1, 2, 3):
+        composed = {}
+        for j, w in fock._B_TO_A[f]:
+            for g, v in fock._A_TO_B[j]:
+                composed[g] = composed.get(g, 0) + w * v
+        assert composed == {g: 3 if g == f else 0 for g in (1, 2, 3)}
 
 
 def test_change_basis_round_trip():

@@ -474,9 +474,17 @@ def test_free_boson_factor_gives_the_targets_exactly_at_the_rank2_targets(
     from h3orbifold.qseries import _euler_product
     target = structure._target_dims(group, max_weight)
     euler = _euler_product(1, max_weight, (), range(1, max_weight + 1))
-    rank2 = structure._rank2_dims(target)
+    rank2 = structure._with_free_boson(target, remove=True)
     assert rank2 == {w: sum(euler[k] * target[w - k] for k in range(w + 1))
                      for w in target}
+    # and they invert the partition convolution term by term:
+    # d'_w = d_w - sum_{k>=1} p(k) d'_(w-k)
+    p = _euler_product(1, max_weight, (1,))
+    recurrence: dict = {}
+    for w in target:
+        recurrence[w] = target[w] - sum(p[k] * recurrence[w - k]
+                                        for k in range(1, w + 1))
+    assert rank2 == recurrence
     assert all(d >= 0 for d in rank2.values())
     ranks = dict(rank2)
     if data.draw(st.booleans()):
@@ -536,7 +544,8 @@ def test_z3_block_dims_count_the_invariant_field1_free_monomials():
 @pytest.mark.parametrize("max_weight", range(17))
 def test_z3_block_dims_sum_to_the_rank2_targets(max_weight):
     dims = structure._z3_block_dims(max_weight)
-    rank2 = structure._rank2_dims(structure._target_dims("Z3", max_weight))
+    rank2 = structure._with_free_boson(
+        structure._target_dims("Z3", max_weight), remove=True)
     sums = {w: 0 for w in range(max_weight + 1)}
     for (w, _), n in dims.items():
         sums[w] += n
@@ -634,7 +643,8 @@ def test_span_dims_gives_each_set_its_room(monkeypatch):
 
     target = {g: structure._target_dims(g, 5) for g in ("S3", "Z3")}
     weight_room = {g: {(w, 0): d for w, d in t.items()} for g, t in target.items()}
-    rank2_room = {g: {(w, 0): d for w, d in structure._rank2_dims(t).items()}
+    rank2_room = {g: {(w, 0): d for w, d
+                      in structure._with_free_boson(t, remove=True).items()}
                   for g, t in target.items()}
     blocks = structure._z3_block_dims(5)
     b1_2 = GeneratorId("omega1_0", (1,))   # b1(-2), a second field-1 state
@@ -650,6 +660,12 @@ def test_span_dims_gives_each_set_its_room(monkeypatch):
     assert {0, 3, -3} <= set(charges)
     for gens in (Z3_GENERATOR_IDS, Z3_GENERATOR_IDS[1:]):
         assert room_of(gens, "Z3") == (charges, blocks)
+
+
+def test_diagonal_s3_set_has_the_s3_generators_in_the_diagonal_basis():
+    assert [str(g) for g in S3_DIAGONAL_GENERATOR_IDS] == [
+        "omega1_0(0)", "omega2_0(0,0)", "omega2_0(0,2)", "omega2_0(0,4)",
+        "omega3_0(0,0,0)", "omega3_0(0,0,2)", "omega3_0(0,1,2)"]
 
 
 def test_diagonal_s3_set_certifies_strong_generation_through_weight_12():
@@ -690,6 +706,21 @@ def test_labels_are_injective_and_reverse_the_monomial_order():
             assert all(a > b for a, b in zip(labels, labels[1:])), (w, max_weight)
         seen.update(structure._label(m, top) for m in monomials)
         assert len(seen) == sum(len(enumerate_basis(3, v)) for v in range(w + 1))
+    # past weight 15 a mode digit 4 * level + field needs 7 bits
+    for max_weight in (16, 17):
+        monomials = sorted(
+            [((level, f),) for level in (max_weight - 1, max_weight)
+             for f in (1, 2, 3)]
+            + [((max_weight - 1, 3), (1, f)) for f in (1, 2, 3)]
+            + [((max_weight - 2, 3), (1, 1), (1, 3)),
+               ((max_weight - 2, 1), (2, 2)),
+               ((2, 1),) + ((1, 3),) * (max_weight - 2),
+               ((1, 1),) * max_weight, ((1, 3),) * max_weight, ()])
+        labels = [structure._label(m, max_weight) for m in monomials]
+        assert all(a > b for a, b in zip(labels, labels[1:])), max_weight
+        top_digit = 4 * max_weight + 3
+        assert structure._label(((max_weight, 3),), max_weight) == \
+            -(top_digit << 7 * (max_weight - 1))
 
 
 def test_span_rejects_mixed_bases_and_ranks_before_any_product(monkeypatch):

@@ -165,3 +165,6 @@ def test_beta_action_table_is_diagonal_on_z3_and_swaps_b2_b3_on_a_transposition(
     assert _beta_action_table((2, 3, 1)) == ((one, 1), (z, 2), (zz, 3))
     assert _beta_action_table((3, 1, 2)) == ((one, 1), (zz, 2), (z, 3))
     assert _beta_action_table((1, 3, 2)) == ((one, 1), (one, 3), (one, 2))
+    # the other two transpositions swap b2 and b3 with a cube root of unity
+    assert _beta_action_table((2, 1, 3)) == ((one, 1), (zz, 3), (z, 2))
+    assert _beta_action_table((3, 2, 1)) == ((one, 1), (z, 3), (zz, 2))
