@@ -11,20 +11,30 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
+from .classical import cpoly_relation, relation_arity
 from .fock import enumerate_basis, FockState, parse_state
 from .qseries import DEFAULT_ORDER, MAX_SERIES_ORDER, burnside_check, character
 from .modular import check_gauss_identity, qdim_estimate, DEFAULT_TOL
+from .primaries import verify_primaries
+from .relations import CATALOG, default_instances, manifest, verify_relation
 from .scalars import parse_rational
-from .structure import MAX_SPAN_WEIGHT
+from .structure import (MAX_SPAN_WEIGHT, S3_GENERATOR_IDS, Z3_GENERATOR_IDS,
+                        span_dims)
+from .symmetry import GeneratorId
+from .vertex import check_borcherds, check_skew_symmetry, nth_product
 
 SCHEMA = "h3orbifold-report/1"
 DEFAULT_SEED = "H3S3"
+#: the largest result weight ``product`` computes; a larger one is refused
+#: before any work
+MAX_PRODUCT_WEIGHT = 12
 
 
 def _int_range(lo, hi):
@@ -64,20 +74,27 @@ def _float(value):
 
 def _emit(args, payload, text_lines):
     """Print the text lines, or with --format json the payload after the
-    schema and the verb."""
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, "command": args.verb, **payload},
-                         indent=2, default=str))
-    else:
-        for line in text_lines:
-            print(line)
+    schema and the verb.  A reader that closes stdout early ends the output
+    but not the verb, whose exit code stands: stdout then points at the null
+    device, so the flush at exit has nothing left to fail on."""
+    try:
+        if args.format == "json":
+            print(json.dumps({"schema": SCHEMA, "command": args.verb, **payload},
+                             indent=2, default=str))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # -- verify --------------------------------------------------------------------
 
 
 def _suite_relations(suite):
-    from .relations import CATALOG, default_instances, verify_relation
     results = []
     for name, params in default_instances():
         spec = CATALOG[name]
@@ -95,7 +112,6 @@ def _suite_relations(suite):
 
 
 def _suite_classical(rng):
-    from .classical import cpoly_relation, relation_arity
     results = []
     for family in ("D5C", "D6C1", "D6C2"):
         arity = relation_arity(family)
@@ -114,7 +130,6 @@ def _suite_classical(rng):
 
 
 def _suite_axioms(rng):
-    from .vertex import check_borcherds, check_skew_symmetry
     def rand_state(basis):
         out = FockState(3, basis)
         for _ in range(rng.randint(1, 3)):
@@ -137,7 +152,6 @@ def _suite_axioms(rng):
 
 
 def _suite_primaries(rng):
-    from .primaries import verify_primaries
     results = []
     for family in ("S3", "Z3", "H2"):
         for check in verify_primaries(family):
@@ -185,7 +199,6 @@ def cmd_verify(args, parser):
 
 
 def _parse_generator(text):
-    from .symmetry import GeneratorId
     name, _, idx = text.partition("(")
     body = idx[:-1]
     positions = body.split(",") if body else []
@@ -195,7 +208,6 @@ def _parse_generator(text):
 
 
 def cmd_span(args, parser):
-    from .structure import S3_GENERATOR_IDS, Z3_GENERATOR_IDS, span_dims
     gens = list(S3_GENERATOR_IDS if args.group == "s3" else Z3_GENERATOR_IDS)
     dropped = None
     if args.drop:
@@ -348,12 +360,15 @@ def cmd_modular(args, parser):
 
 
 def cmd_product(args, parser):
-    from .vertex import nth_product
     try:
         u, v = parse_state(args.u), parse_state(args.v)
+        u._check_compatible(v)
+        top = u.max_weight() + v.max_weight() - args.n - 1
+        if top > MAX_PRODUCT_WEIGHT and not (u.is_zero() or v.is_zero()):
+            raise ValueError(f"product weight {top} exceeds cap "
+                             f"{MAX_PRODUCT_WEIGHT}")
         # str refuses an integer past Python's digit limit with ValueError
-        u_text, v_text, result = map(str, (
-            u, v, nth_product(u, args.n, v, weight_cap=MAX_SPAN_WEIGHT)))
+        u_text, v_text, result = map(str, (u, v, nth_product(u, args.n, v)))
     except ValueError as exc:
         parser.error(str(exc))
     payload = {"u": u_text, "n": args.n, "v": v_text, "result": result}
@@ -365,7 +380,6 @@ def cmd_product(args, parser):
 
 
 def cmd_manifest(args, parser):
-    from .relations import manifest
     entries = manifest()
     payload = {"relations": entries}
     lines = [f"{e['id']:16s} [{e['status']:12s}] {e['tag']}" for e in entries]

@@ -97,13 +97,15 @@ def _gauss_quadrature(t: float, dims: int) -> float:
 
 def check_gauss_identity(line: int, tau: complex, tol: float = DEFAULT_TOL,
                          quadrature: bool = False) -> IdentityReport:
-    """The three eta-transformation identities behind modular invariance.
+    """The eta-transformation identity behind modular invariance for the
+    line-th conjugacy class of S3, in the order of
+    ``character_terms("S3")``: cycle lengths (1,1,1), (2,1) and (3,).  For
+    cycle lengths c, l of them,
 
-    line 1: 1/eta(-1/tau)^3      = integral over R^3 of q^{|w|^2/2} / eta^3
-    line 2: 1/(eta(-1/tau) eta(-2/tau)) = sqrt(2) integral over R^2 with
-            denominator eta(tau) eta(tau/2)
-    line 3: 1/eta(-3/tau)        = sqrt(3) integral over R with
-            denominator eta(tau/3)
+        1/prod_c eta(-c/tau) = sqrt(prod_c c) integral over R^l of
+                               q^{|w|^2/2} / prod_c eta(tau/c),
+
+    the integral being t^(-l/2) at tau = i t (Dong-Li-Mason, CMP 2000).
 
     tau must lie on the imaginary axis so the Gaussian integrals are real.
     """
@@ -128,26 +130,16 @@ def check_gauss_identity(line: int, tau: complex, tol: float = DEFAULT_TOL,
 def _gauss_identity(line, tau, t, tol, quadrature) -> IdentityReport:
     """The report of one identity; may overflow or divide by zero when tau
     is far from i."""
-    if line == 1:
-        lhs = 1.0 / eta(-1.0 / tau, tol) ** 3
-        gauss = _gauss_value(t, 3)
-        rhs = gauss / eta(tau, tol) ** 3
-        quad = _gauss_quadrature(t, 3) if quadrature else None
-    elif line == 2:
-        lhs = 1.0 / (eta(-1.0 / tau, tol) * eta(-2.0 / tau, tol))
-        gauss = _gauss_value(t, 2)
-        rhs = math.sqrt(2.0) * gauss / (eta(tau, tol) * eta(tau / 2.0, tol))
-        quad = _gauss_quadrature(t, 2) if quadrature else None
-    else:
-        lhs = 1.0 / eta(-3.0 / tau, tol)
-        gauss = _gauss_value(t, 1)
-        rhs = math.sqrt(3.0) * gauss / eta(tau / 3.0, tol)
-        quad = _gauss_quadrature(t, 1) if quadrature else None
-
+    _, _, cycles = character_terms("S3")[1][line - 1]
+    dims = len(cycles)
+    lhs = 1.0 / math.prod(eta(-c / tau, tol) for c in cycles)
+    rhs = (math.sqrt(math.prod(cycles)) * _gauss_value(t, dims)
+           / math.prod(eta(tau / c, tol) for c in cycles))
     rel = abs(lhs - rhs) / abs(lhs)
     report = IdentityReport(f"gauss-eta-{line}", tau, lhs, rhs, rel, rel <= tol)
-    if quad is not None:
-        report.quadrature_rel_err = abs(quad - _gauss_value(t, [3, 2, 1][line - 1])) / quad
+    if quadrature:
+        quad = _gauss_quadrature(t, dims)
+        report.quadrature_rel_err = abs(quad - _gauss_value(t, dims)) / quad
     return report
 
 

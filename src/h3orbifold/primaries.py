@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import FockState
-from .symmetry import act, gen, is_invariant
-from .vertex import is_primary
+from .symmetry import Permutation, act, gen, is_invariant
+from .vertex import is_primary, translate
 from .vertex import nth_product as P
 from .vertex import translate_power as Tk
 
@@ -131,7 +131,6 @@ class PrimaryCheck:
 def _conformal_axioms(om: FockState) -> bool:
     """omega_0 om = T om, omega_1 om = 2 om, omega_2 om = 0,
     omega_3 om = (c/2) |0> with c = 3."""
-    from .vertex import translate
     vac = FockState.vacuum(om.rank, om.basis)
     return (P(om, 0, om) == translate(om)
             and P(om, 1, om) == om.scale(2)
@@ -154,7 +153,6 @@ def verify_primaries(which: str) -> list:
         group = "Z3"
     elif which == "H2":
         v = pair_orbifold_primary()
-        from .symmetry import Permutation
         swap_ok = act(Permutation((2, 1)), v) == v
         checks.append(PrimaryCheck("H", 4, v.weight() == 4, swap_ok,
                                    is_primary(v)))

@@ -41,6 +41,9 @@ from fractions import Fraction
 from itertools import permutations
 from math import floor, lcm
 
+from .fock import enumerate_basis
+from .symmetry import GROUPS
+
 DEFAULT_ORDER = 12
 #: largest truncation order the CLI accepts (``dims --max-weight``,
 #: ``char --order``)
@@ -414,7 +417,6 @@ def _fixed_counts(weight: int) -> tuple:
     the monomials that tests each against all six permutations."""
     counts = _FIXED_COUNTS.get(weight)
     if counts is None:
-        from .fock import enumerate_basis
         tally = [0] * len(_FIELD_PERMUTATIONS)
         for mon in enumerate_basis(3, weight):
             # canonical order is level descending, field ascending
@@ -486,7 +488,6 @@ def burnside_check(which: str, series: FracSeries, order, weights=()) -> bool:
     When every term of the character has a cycle type for its steps, the
     series must also equal the direct traces class-averaged with the terms:
     a direct trace holds q^(-|steps|/24), the term q^offset."""
-    from .symmetry import GROUPS
     top = min(order, 6)
     ok = True
     traces: dict = {}

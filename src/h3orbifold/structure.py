@@ -13,10 +13,11 @@ from math import lcm
 from .classical import RELATION_TERMS, relation_arity
 from .fock import BETA, FockState
 from .linalg import Echelon, SolverBasis, _integral, _primitive, det_bareiss
+from .qseries import ORBIFOLD_GROUPS, _euler_product, orbifold_character
 from .symmetry import GeneratorId, build_generator, gen, is_invariant
 from .vertex import _accumulate, _add_into, _product, _scaled, _unscaled
 
-#: largest weight span_dims (and ``h3orb span`` / ``product``) accepts
+#: largest weight span_dims (and ``h3orb span``) accepts
 MAX_SPAN_WEIGHT = 12
 #: even arguments sampled by det_A_even_polynomial: one more than its degree
 #: needs, so the last sample checks the interpolation
@@ -279,7 +280,6 @@ class SpanReport:
 
 
 def _target_dims(group: str, max_weight: int) -> dict:
-    from .qseries import orbifold_character
     return dict(enumerate(int(c) for c in orbifold_character(group, max_weight)
                           .integer_slice(max_weight + 1)))
 
@@ -470,7 +470,6 @@ def _with_free_boson(dims: dict, remove: bool = False) -> dict:
     numbers p(k).  With ``remove``, the inverse: dims times Euler's
     pentagonal series prod_{n>=1} (1 - q^n).  Both rows are those of
     ``qseries._euler_product``."""
-    from .qseries import _euler_product
     top = len(dims) - 1
     row = (_euler_product(1, top, (), range(1, top + 1)) if remove
            else _euler_product(1, top, (1,)))
@@ -519,7 +518,6 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     state, and its room at weight w is the goal that the closed span lies
     under: the target, or the rank-2 target after the split.
     """
-    from .qseries import ORBIFOLD_GROUPS
     if group not in ORBIFOLD_GROUPS:
         raise ValueError(f"unknown group {group!r} (use S3 or Z3)")
     if not 0 <= max_weight <= MAX_SPAN_WEIGHT:

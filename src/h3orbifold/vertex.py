@@ -254,15 +254,9 @@ def _product(basis: str, x: tuple, n: int, y: tuple) -> tuple:
     return re, im
 
 
-def nth_product(u: FockState, n: int, v: FockState,
-                weight_cap: int | None = None) -> FockState:
+def nth_product(u: FockState, n: int, v: FockState) -> FockState:
     """The mode product u_n v; exact, any integer n."""
     u._check_compatible(v)
-    if weight_cap is not None and not u.is_zero() and not v.is_zero():
-        top = u.max_weight() + v.max_weight() - n - 1
-        if top > weight_cap:
-            raise ValueError(
-                f"product weight {top} exceeds cap {weight_cap}")
     du, *xu = _scaled(u)
     dv, *xv = _scaled(v)
     return _unscaled(u.rank, u.basis, du * dv, *_product(u.basis, xu, n, xv))
@@ -378,23 +372,16 @@ def check_borcherds(u: FockState, v: FockState, w: FockState,
         _add_into(re, tr, k)
         _add_into(im, ti, k)
 
-    i = 0
-    while r + i <= wt_u + wt_v - 1:
-        c = _gen_binom(p, i)
-        if c == 0 and p >= 0 and i > p:
-            break
-        if c != 0:
-            add(_product(basis, xu, r + i, xv), p + q - i, xw, c)
-        i += 1
-
-    i = 0
-    while q + i <= wt_v + wt_w - 1 or p + i <= wt_u + wt_w - 1:
+    # u_{r+i} v vanishes once r + i >= wt_u + wt_v, and C(p, i) once
+    # i > p >= 0 (never for p < 0); likewise below with v_{q+i} w, u_{p+i} w
+    # and C(r, i)
+    top = wt_u + wt_v - r
+    for i in range(min(top, p + 1) if p >= 0 else top):
+        add(_product(basis, xu, r + i, xv), p + q - i, xw, _gen_binom(p, i))
+    top = max(wt_v + wt_w - q, wt_u + wt_w - p)
+    for i in range(min(top, r + 1) if r >= 0 else top):
         c = _gen_binom(r, i)
-        if c == 0 and r >= 0 and i > r:
-            break
-        if c != 0:
-            s = -c if i % 2 else c
-            add(xu, p + r - i, _product(basis, xv, q + i, xw), -s)
-            add(xv, q + r - i, _product(basis, xu, p + i, xw), -s if r % 2 else s)
-        i += 1
+        s = -c if i % 2 else c
+        add(xu, p + r - i, _product(basis, xv, q + i, xw), -s)
+        add(xv, q + r - i, _product(basis, xu, p + i, xw), -s if r % 2 else s)
     return _unscaled(u.rank, basis, du * dv * dw, re, im)

@@ -1,14 +1,17 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from h3orbifold import cli, fock, qseries, scalars
+from h3orbifold import cli, qseries, scalars
 from h3orbifold.cli import build_parser, main
 from h3orbifold.qseries import MAX_SERIES_ORDER
 
@@ -145,6 +148,49 @@ def test_product_command(capsys):
                         "--v", "b3(-1)", "--format", "json")
     assert code == 0
     assert json.loads(out)["result"] == "b2(-1)b3(-1)"
+
+
+def test_product_refuses_a_result_weight_above_its_cap(capsys):
+    def product(u, n, v):
+        try:
+            code = main(["product", "--u", u, "--n", str(n), "--v", v])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out.strip(), out.err.strip().splitlines()[-1:]
+
+    assert cli.MAX_PRODUCT_WEIGHT == 12
+    # a1(-1)_n a1(-1) has weight 1 - n: 12 at n = -11, 13 at n = -12
+    assert product("a1(-1)", -11, "a1(-1)") == (0, "a1(-11)a1(-1)", [])
+    assert product("a1(-1)", -12, "a1(-1)") == (
+        2, "", ["h3orb product: error: product weight 13 exceeds cap 12"])
+    # a zero state has no weight to refuse
+    assert product("0", -100000, "a1(-1)") == (0, "0", [])
+    assert product("a1(-1)", -100000, "0") == (0, "0", [])
+    # a basis mismatch is reported before the cap
+    assert product("a1(-1)", -100000, "b1(-1)") == (
+        2, "", ["h3orb product: error: basis mismatch: a vs b"])
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["dims"], 0),
+    (["manifest", "--format", "json"], 0),
+    # a failed check keeps its exit code too
+    (["modular", "--tol", "1e-300"], 1)])
+def test_a_reader_that_closes_stdout_early_keeps_the_exit_code(argv, expected):
+    # the read end is closed before the child writes, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(cli.__file__).parents[1]
+    try:
+        run = subprocess.run([sys.executable, "-m", "h3orbifold.cli", *argv],
+                             stdout=write, stderr=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)},
+                             timeout=120)
+    finally:
+        os.close(write)
+    assert run.returncode == expected, run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_manifest_command(capsys):
@@ -470,7 +516,7 @@ def test_char_check_fails_on_a_perturbed_fixed_count(capsys, monkeypatch):
 
 
 def test_two_char_checks_enumerate_each_fock_weight_once(capsys, monkeypatch):
-    real = fock.enumerate_basis
+    real = qseries.enumerate_basis
     weights = []
 
     def counted(rank, weight):
@@ -478,7 +524,7 @@ def test_two_char_checks_enumerate_each_fock_weight_once(capsys, monkeypatch):
         return real(rank, weight)
 
     monkeypatch.setattr(qseries, "_FIXED_COUNTS", {})
-    monkeypatch.setattr(fock, "enumerate_basis", counted)
+    monkeypatch.setattr(qseries, "enumerate_basis", counted)
     for which in ("s3", "fock"):
         code, out = run_cli(capsys, "char", f"--which={which}", "--order=12",
                             "--check", "--format=json")

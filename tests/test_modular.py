@@ -1,11 +1,14 @@
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
 
 from h3orbifold import modular
-from h3orbifold.modular import (character_value, check_gauss_identity, eta,
-                                qdim_estimate)
+from h3orbifold.modular import (IdentityReport, _gauss_quadrature,
+                                _gauss_value, character_value,
+                                check_gauss_identity, eta, qdim_estimate)
+from h3orbifold.qseries import character_terms
 
 
 def test_eta_at_i_against_gamma_oracle():
@@ -66,6 +69,44 @@ def test_gauss_identities(tau, line):
     assert rep.passed
     assert rep.rel_err <= 1e-9
     assert rep.quadrature_rel_err <= 1e-9
+
+
+def test_gauss_lines_are_the_s3_classes():
+    assert [s for *_, s in character_terms("S3")[1]] == [(1, 1, 1), (2, 1), (3,)]
+
+
+def _gauss_identity_by_line(line, tau, tol, quadrature):
+    """Oracle: the three identities written out one by one."""
+    t = tau.imag
+    if line == 1:
+        lhs = 1.0 / eta(-1.0 / tau, tol) ** 3
+        rhs = _gauss_value(t, 3) / eta(tau, tol) ** 3
+    elif line == 2:
+        lhs = 1.0 / (eta(-1.0 / tau, tol) * eta(-2.0 / tau, tol))
+        rhs = (math.sqrt(2.0) * _gauss_value(t, 2)
+               / (eta(tau, tol) * eta(tau / 2.0, tol)))
+    else:
+        lhs = 1.0 / eta(-3.0 / tau, tol)
+        rhs = math.sqrt(3.0) * _gauss_value(t, 1) / eta(tau / 3.0, tol)
+    rel = abs(lhs - rhs) / abs(lhs)
+    report = IdentityReport(f"gauss-eta-{line}", tau, lhs, rhs, rel, rel <= tol)
+    if quadrature:
+        dims = [3, 2, 1][line - 1]
+        quad = _gauss_quadrature(t, dims)
+        report.quadrature_rel_err = abs(quad - _gauss_value(t, dims)) / quad
+    return report
+
+
+@pytest.mark.parametrize("quadrature", [False, True])
+@pytest.mark.parametrize("tau", [0.5j, 1j, 2j, 0.05j])
+def test_gauss_identities_equal_the_written_out_lines_bit_for_bit(tau,
+                                                                  quadrature):
+    for line in (1, 2, 3):
+        got = check_gauss_identity(line, tau, quadrature=quadrature)
+        want = _gauss_identity_by_line(line, tau, modular.DEFAULT_TOL,
+                                       quadrature)
+        # json.dumps writes each float by repr, so the sign of a zero counts
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
 def test_gauss_identity_rejects_off_axis():

@@ -85,12 +85,6 @@ def test_product_weight_homogeneity():
         assert nth_product(u, wu + wv, v).is_zero()  # beyond the top mode
 
 
-def test_weight_cap_guard():
-    u = mono([(1, 1)])
-    with pytest.raises(ValueError):
-        nth_product(u, -12, u, weight_cap=8)
-
-
 def test_virasoro_grading_and_translation():
     rng = random.Random(6)
     for _ in range(20):
@@ -608,6 +602,28 @@ def test_axiom_residuals_divide_once(monkeypatch):
         _same_coefficients(check_skew_symmetry(u, v, n), _reference_skew(u, v, n))
         _same_coefficients(check_borcherds(u, v, u, n, 0, 1),
                            _reference_borcherds(u, v, u, n, 0, 1))
+
+
+def test_borcherds_sums_end_where_the_reference_loops_stop(monkeypatch):
+    # the spurious kernel term never vanishes, so a term added or dropped at
+    # either end of either sum changes the residual
+    monkeypatch.setattr(vertex, "_monomial_product",
+                        _wrong_kernel(vertex._monomial_product))
+    rng = random.Random(15)
+    ends = set()
+    for _ in range(60):
+        basis = rng.choice([ALPHA, BETA])
+        u, v, w = (_residual_states(rng, basis) for _ in range(3))
+        p, q, r = (rng.randint(-6, 6) for _ in range(3))
+        _same_coefficients(check_borcherds(u, v, w, p, q, r),
+                           _reference_borcherds(u, v, w, p, q, r))
+        wt_u, wt_v, wt_w = u.max_weight(), v.max_weight(), w.max_weight()
+        # which end binds: the binomial's (C(., i) = 0 past i = p or r) or
+        # the weights'
+        ends.add(("first", 0 <= p < wt_u + wt_v - r - 1))
+        ends.add(("second",
+                  0 <= r < max(wt_v + wt_w - q, wt_u + wt_w - p) - 1))
+    assert ends == {(s, b) for s in ("first", "second") for b in (False, True)}
 
 
 def test_divided_powers_are_iterated_translations():
