@@ -21,9 +21,8 @@ class CPoly:
     Coefficients are ``int`` or ``Fraction`` and are never normalised:
     ``constant`` and ``variable`` give ``int`` for an integral value, a sum
     or product has the type that Python's arithmetic gives it (one with a
-    ``Fraction`` operand stays a ``Fraction``, ``Fraction(1, 1)`` included),
-    and ``scale`` always yields ``Fraction``.  The two compare and print
-    alike."""
+    ``Fraction`` operand stays a ``Fraction``, ``Fraction(1, 1)`` included).
+    The two compare and print alike."""
 
     __slots__ = ("terms",)
 
@@ -78,17 +77,6 @@ class CPoly:
                 out._add(key, c1 * c2)
         return out
 
-    def __rmul__(self, other):
-        return self * other
-
-    def scale(self, c) -> "CPoly":
-        c = Fraction(c)
-        out = CPoly()
-        if c:
-            for mon, v in self.terms.items():
-                out.terms[mon] = v * c
-        return out
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -106,41 +94,27 @@ class CPoly:
         return " + ".join(bits)
 
 
-def cpoly_polarization(k: int, slots, rank: int = 3) -> CPoly:
-    """Polarized power sum q_k(m_1..m_k) = sum_i x_i(m_1)...x_i(m_k)."""
-    slots = tuple(slots)
-    if len(slots) != k:
-        raise ValueError(f"expected {k} slots, got {len(slots)}")
-    if any(m < 0 for m in slots):
-        raise ValueError("slots must be >= 0")
-    out = CPoly()
-    for i in range(1, rank + 1):
-        term = CPoly.constant(1)
-        for m in slots:
-            term = term * CPoly.variable("x", i, m)
-        out = out + term
-    return out
-
-
-def _q0_codes(k: int, slots, base: int) -> tuple:
-    """The monomials of the diagonalized generator ``q0(k, slots)``, each a
-    tuple of variable codes, y_i(m) coded i * base + m, one per field pattern
-    of ``symmetry.FAMILIES["omega{k}_0"]``; every coefficient is 1.  ``q0``
-    and ``cpoly_relation`` both read the generators from here."""
-    if len(slots) != k:
-        raise ValueError(f"expected {k} slots, got {len(slots)}")
+def _generator_codes(family: str, slots, base: int) -> tuple:
+    """The monomials of the commutative shadow of the generator
+    ``gen(family, *slots)``, each a tuple of variable codes, the variable of
+    field f at slot m coded f * base + m, one per field pattern of
+    ``symmetry.FAMILIES[family]``; every coefficient is 1.  ``q0``,
+    ``cpoly_polarization`` and ``cpoly_relation`` all read the generators
+    from here."""
+    patterns = FAMILIES[family][1]
+    if len(slots) != len(patterns[0]):
+        raise ValueError(f"expected {len(patterns[0])} slots, got {len(slots)}")
     if min(slots, default=0) < 0:
         raise ValueError("slots must be >= 0")
-    if k not in (1, 2, 3):
-        raise ValueError("k must be 1, 2 or 3")
     return tuple(tuple(f * base + m for f, m in zip(fields, slots))
-                 for fields in FAMILIES[f"omega{k}_0"][1])
+                 for fields in patterns)
 
 
-def _decode(key: tuple, base: int) -> tuple:
-    """The ``CPoly`` monomial of a sorted tuple of variable codes: the run
-    length of each code is its variable's exponent."""
-    return tuple((("y", *divmod(code, base)), len(list(same)))
+def _decode(key: tuple, base: int, tag: str) -> tuple:
+    """The ``CPoly`` monomial, in the variables tagged tag, of a sorted
+    tuple of variable codes: the run length of each code is its variable's
+    exponent."""
+    return tuple(((tag, *divmod(code, base)), len(list(same)))
                  for code, same in groupby(key))
 
 
@@ -154,14 +128,29 @@ def _expand(c: int, tables) -> dict:
     return out
 
 
-def q0(k: int, slots) -> CPoly:
-    """The diagonalized-family generators q1_0, q2_0, q3_0."""
+def _shadow(k: int, family: str, tag: str, slots) -> CPoly:
+    """The commutative shadow of the generator of ``family`` (one of k = 1,
+    2 or 3 slots) in the variables tagged tag."""
+    if k not in (1, 2, 3):
+        raise ValueError("k must be 1, 2 or 3")
     slots = tuple(slots)
     base = max(slots, default=0) + 1
     out = CPoly()
-    for codes in _q0_codes(k, slots, base):
-        out._add(_decode(tuple(sorted(codes)), base), 1)
+    for codes in _generator_codes(family, slots, base):
+        out._add(_decode(tuple(sorted(codes)), base, tag), 1)
     return out
+
+
+def cpoly_polarization(k: int, slots) -> CPoly:
+    """Polarized power sum q_k(m_1..m_k) = sum_i x_i(m_1)...x_i(m_k), the
+    shadow of omega{k}."""
+    return _shadow(k, f"omega{k}", "x", slots)
+
+
+def q0(k: int, slots) -> CPoly:
+    """The diagonalized-family generators q1_0, q2_0, q3_0, the shadows of
+    omega{k}_0."""
+    return _shadow(k, f"omega{k}_0", "y", slots)
 
 
 # The three relation families among the q's.  Each is a list of
@@ -249,7 +238,7 @@ def cpoly_relation(rel: str, multi_index) -> CPoly:
     expanded = []
     for coeff, factors in terms:
         coeff = Fraction(coeff)
-        tables = [_q0_codes(k, [idx[p] for p in pos], base)
+        tables = [_generator_codes(f"omega{k}_0", [idx[p] for p in pos], base)
                   for k, pos in factors]
         if coeff:
             expanded.append((coeff, tables))
@@ -269,6 +258,6 @@ def cpoly_relation(rel: str, multi_index) -> CPoly:
     out = CPoly()
     for key, v in total.items():
         if v:
-            out.terms[_decode(key, base)] = (Fraction(v, den) if key in reached
-                                             else v // den)
+            out.terms[_decode(key, base, "y")] = (
+                Fraction(v, den) if key in reached else v // den)
     return out

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -316,10 +317,16 @@ def cmd_qdim(args, parser):
     return 0 if report.passed else 1
 
 
+#: a tau on the imaginary axis: a numerator that ends in its one "i", then
+#: an optional "/" and denominator
+_IMAGINARY_TAU = re.compile(r"([^/i]*)i(?:/([^/i]+))?")
+
+
 def _parse_tau(text):
     """Accepts "i", "2i", "i/2", "3i/4", or "re,im"; bare numbers are taken
-    as points on the imaginary axis.  ValueError for malformed text, a
-    part beyond the float range or a decimal exponent beyond
+    as points on the imaginary axis.  ValueError for malformed text (an
+    "i" that does not end the numerator, a second "/"), a part beyond the
+    float range or a decimal exponent beyond
     ``scalars.MAX_DECIMAL_EXPONENT``."""
     if "," in text:
         re_, im = text.split(",")
@@ -327,10 +334,11 @@ def _parse_tau(text):
                        _float(parse_rational(im)))
     text = text.strip().replace(" ", "")
     if "i" in text:
-        num, _, den = text.partition("/")
-        num = num.replace("i", "") or "1"
-        if num == "-":
-            num = "-1"
+        match = _IMAGINARY_TAU.fullmatch(text)
+        if not match:
+            raise ValueError(f"malformed tau {text!r}")
+        num, den = match.groups()
+        num = {"": "1", "-": "-1"}.get(num, num)
         mag = parse_rational(num) / (parse_rational(den) if den else 1)
         return complex(0, _float(mag))
     return complex(0, _float(parse_rational(text)))

@@ -62,7 +62,8 @@ def monomial_weight(mon: Monomial) -> int:
 
 
 class FockState:
-    """Sparse exact linear combination of creation monomials."""
+    """Sparse exact linear combination of creation monomials.  ``terms`` is
+    a public dict, so a state is mutable and unhashable."""
 
     __slots__ = ("rank", "basis", "terms")
 
@@ -75,7 +76,7 @@ class FockState:
         self.basis = basis
         self.terms: dict = {}
         if terms:
-            for mon, c in terms.items() if isinstance(terms, dict) else terms:
+            for mon, c in terms.items():
                 self._add_term(mon, c)
 
     # -- construction ----------------------------------------------------
@@ -94,10 +95,6 @@ class FockState:
             if not 1 <= field <= rank:
                 raise ValueError(f"field index {field} outside rank {rank}")
         return cls(rank, basis, {mon: coeff})
-
-    @classmethod
-    def zero(cls, rank: int, basis: str = ALPHA) -> "FockState":
-        return cls(rank, basis)
 
     def _add_term(self, mon: Monomial, c: Coeff) -> None:
         cur = self.terms.get(mon)
@@ -130,20 +127,13 @@ class FockState:
             out._add_term(mon, -c)
         return out
 
-    def __neg__(self) -> "FockState":
-        return self.scale(Fraction(-1))
-
     def scale(self, c: Coeff) -> "FockState":
         c = _normalize_coeff(c)
-        if not c:
-            return FockState.zero(self.rank, self.basis)
         out = FockState(self.rank, self.basis)
-        for mon, v in self.terms.items():
-            out.terms[mon] = _normalize_coeff(v * c)
+        if c:
+            for mon, v in self.terms.items():
+                out.terms[mon] = _normalize_coeff(v * c)
         return out
-
-    def __rmul__(self, c) -> "FockState":
-        return self.scale(c)
 
     def __eq__(self, other):
         if not isinstance(other, FockState):
@@ -151,14 +141,8 @@ class FockState:
         return (self.rank == other.rank and self.basis == other.basis
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.rank, self.basis, frozenset(self.terms.items())))
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __len__(self):
-        return len(self.terms)
 
     def coefficient(self, modes) -> Coeff:
         return self.terms.get(canonical(modes), Fraction(0))

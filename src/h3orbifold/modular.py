@@ -187,6 +187,9 @@ def character_value(kind: str, t: float, weights=()) -> float:
 #: the untwisted modules' quantum dimensions, and a pass's relative tolerance
 QDIM_EXPECTED = {"fock": 6.0, "orb": 1.0, "sgn": 1.0, "st": 2.0}
 QDIM_REL_TOL = 0.01
+#: most t values ``qdim_estimate`` takes: each costs two character values,
+#: up to about 25 ms near the smallest t whose Euler products stay finite
+MAX_QDIM_POINTS = 100
 
 
 @dataclass
@@ -221,9 +224,13 @@ def qdim_estimate(kind: str, t_list, weights=()) -> QdimReport:
 
     Finite limits are extrapolated linearly in t from the log-ratios of the
     two smallest samples (the subleading corrections decay exponentially);
-    divergent families get a log-log growth exponent instead.
+    divergent families get a log-log growth exponent instead.  More than
+    MAX_QDIM_POINTS values raise ValueError before any character value.
     """
     t_desc = sorted((float(t) for t in t_list), reverse=True)
+    if len(t_desc) > MAX_QDIM_POINTS:
+        raise ValueError(f"at most {MAX_QDIM_POINTS} t values, "
+                         f"got {len(t_desc)}")
     if any(t <= 0 for t in t_desc):
         raise ValueError("t values must be positive")
     if len(t_desc) < 2 or t_desc[-1] == t_desc[-2]:

@@ -38,7 +38,6 @@ caller may change the one it gets, and every check still compares.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from math import floor, lcm
 
 from .fock import enumerate_basis
@@ -48,6 +47,10 @@ DEFAULT_ORDER = 12
 #: largest truncation order the CLI accepts (``dims --max-weight``,
 #: ``char --order``)
 MAX_SERIES_ORDER = 1000
+#: most generator weights ``w_algebra_free_character`` takes: each costs one
+#: Euler pass and up to order - 1 factor passes, so at order 1000 this many
+#: weights of 1000 take about 2 s
+MAX_FREE_WEIGHTS = 32
 
 
 class FracSeries:
@@ -118,8 +121,6 @@ class FracSeries:
         return D, offset, out[0], out[1]
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FracSeries(1, 0, {0: other}, self.order)
         D, offset, ca, cb = self._aligned(other)
         order = min(self.order, other.order)
         for k, c in cb.items():
@@ -127,8 +128,6 @@ class FracSeries:
         return FracSeries(D, offset, ca, order)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FracSeries(1, 0, {0: other}, self.order)
         return self + other.scale(-1)
 
     def scale(self, c) -> "FracSeries":
@@ -140,8 +139,6 @@ class FracSeries:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         D = lcm(self.D, other.D)
         a = self.rebase(D)
         b = other.rebase(D)
@@ -391,9 +388,13 @@ def w_algebra_free_character(gen_weights, order=DEFAULT_ORDER) -> FracSeries:
     """Graded dimensions of a freely generated algebra with one generator per
     listed weight: prod_w prod_{m>=w} (1-q^m)^(-1), each factor expanded as
     E(q)^(-1) prod_{1<=m<w} (1-q^m) (see ``_euler_product``).  A weight above
-    the order contributes 1.  A weight that is not a positive integer raises
-    ValueError."""
+    the order contributes 1.  More than MAX_FREE_WEIGHTS weights, or a
+    weight that is not a positive integer, raises ValueError before any
+    product."""
     weights = [Fraction(w) for w in gen_weights]
+    if len(weights) > MAX_FREE_WEIGHTS:
+        raise ValueError(f"at most {MAX_FREE_WEIGHTS} generator weights, "
+                         f"got {len(weights)}")
     if any(w <= 0 or w.denominator != 1 for w in weights):
         raise ValueError("generator weights must be positive integers, got "
                          + ", ".join(map(str, weights)))
@@ -403,12 +404,9 @@ def w_algebra_free_character(gen_weights, order=DEFAULT_ORDER) -> FracSeries:
     return FracSeries(1, 0, dict(enumerate(coeffs)), order)
 
 
-#: the six permutations of the three fields, as tuples of images
-_FIELD_PERMUTATIONS = tuple(permutations((1, 2, 3)))
-
 #: weight -> the number of weight-w creation monomials fixed by each of
-#: ``_FIELD_PERMUTATIONS``, a tuple of ints in that order, kept for the
-#: process (see the module docstring)
+#: ``GROUPS["S3"]``, a tuple of ints in that order, kept for the process
+#: (see the module docstring)
 _FIXED_COUNTS: dict = {}
 
 
@@ -417,11 +415,12 @@ def _fixed_counts(weight: int) -> tuple:
     the monomials that tests each against all six permutations."""
     counts = _FIXED_COUNTS.get(weight)
     if counts is None:
-        tally = [0] * len(_FIELD_PERMUTATIONS)
+        perms = [sigma.images for sigma in GROUPS["S3"]]
+        tally = [0] * len(perms)
         for mon in enumerate_basis(3, weight):
             # canonical order is level descending, field ascending
             key = [(-level, field) for level, field in mon]
-            for i, images in enumerate(_FIELD_PERMUTATIONS):
+            for i, images in enumerate(perms):
                 if sorted((-level, images[field - 1])
                           for level, field in mon) == key:
                     tally[i] += 1
@@ -441,10 +440,9 @@ def fock_trace_series(sigma, max_weight: int) -> FracSeries:
     (``_FIXED_COUNTS``); every call builds a fresh series of int
     coefficients from them.  A permutation of size other than 3 raises
     ValueError."""
-    images = sigma.images
-    if len(images) != 3:
-        raise ValueError(f"permutation of size {len(images)} on rank 3")
-    index = _FIELD_PERMUTATIONS.index(tuple(images))
+    if len(sigma.images) != 3:
+        raise ValueError(f"permutation of size {len(sigma.images)} on rank 3")
+    index = GROUPS["S3"].index(sigma)
     coeffs = {}
     for w in range(max_weight + 1):
         count = _fixed_counts(w)[index]

@@ -129,6 +129,28 @@ def test_q0_has_the_monomials_of_the_diagonal_generator():
             assert q0(k, slots) == shadow, (k, slots)
 
 
+def test_polarization_has_the_monomials_of_the_standard_generator():
+    # cpoly_polarization reads the field patterns of symmetry.FAMILIES: it
+    # must be the commutative shadow of omega{k}, x_f(m) for each mode of
+    # level m + 1 on field f, with the same coefficients and their types
+    from h3orbifold.symmetry import gen
+    for k in (1, 2, 3):
+        for slots in itertools.product(range(4), repeat=k):
+            state = gen(f"omega{k}", *slots)
+            shadow = CPoly()
+            for mon, c in state.terms.items():
+                term = CPoly.constant(c)
+                for level, field in mon:
+                    term = term * CPoly.variable("x", field, level - 1)
+                shadow = shadow + term
+            got = cpoly_polarization(k, slots)
+            assert _typed(got) == _typed(shadow), (k, slots)
+            assert repr(got) == repr(shadow)
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            cpoly_polarization(k, (0,) * k)
+
+
 def _cpoly_product_relation(terms, idx) -> CPoly:
     """The relation as a sum of generator products formed by ``CPoly``: the
     expansion ``cpoly_relation`` replaces, kept as its oracle."""

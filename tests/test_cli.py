@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from h3orbifold import cli, qseries, scalars
+from h3orbifold import cli, modular, qseries, scalars
 from h3orbifold.cli import build_parser, main
-from h3orbifold.qseries import MAX_SERIES_ORDER
+from h3orbifold.modular import MAX_QDIM_POINTS
+from h3orbifold.qseries import MAX_FREE_WEIGHTS, MAX_SERIES_ORDER
+from h3orbifold.symmetry import GROUPS, Permutation
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +273,11 @@ def refuse_big_exponents(monkeypatch):
     # the Euler products overflow within a few dozen factors
     ["qdim", "--module", "sgn", "--t-list", "1e-6,5e-7"],
     ["qdim", "--module", "sgn", "--t-list", "1e-9,5e-10"],
+    # one "i", only at the end of the numerator
+    ["modular", "--tau=2i3"],
+    ["modular", "--tau=ii"],
+    ["modular", "--tau=i2"],
+    ["modular", "--tau=i-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_with_usage_error(capsys, refuse_big_exponents, argv):
     with pytest.raises(SystemExit) as exc:
@@ -281,6 +288,63 @@ def test_bad_input_exits_with_usage_error(capsys, refuse_big_exponents, argv):
     # the usage and the message are the command's, not those of every verb
     assert out.err.startswith(f"usage: h3orb {argv[0]} ")
     assert f"h3orb {argv[0]}: error: " in out.err
+
+
+@pytest.mark.parametrize("text, tau", [
+    ("i", 1j), ("-i", -1j), ("2i", 2j), ("1e1i", 10j), ("i/2", 0.5j),
+    ("3i/4", 0.75j), ("-3i/4", -0.75j), ("1e1i/4", 2.5j), ("2", 2j),
+    ("1/2", 0.5j),
+    ("0,1", 1j), ("1/2,3", complex(0.5, 3)),
+])
+def test_tau_reads_one_i_at_the_end_of_the_numerator(text, tau):
+    assert cli._parse_tau(text) == tau
+
+
+@pytest.mark.parametrize("text", ["2i3", "ii", "i2", "i-1", "2ii", "3/4i",
+                                  "i/", "i/2/3"])
+def test_tau_outside_its_grammar_cannot_be_parsed(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["modular", f"--tau={text}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"h3orb modular: error: cannot parse tau {text!r}\n")
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("work started before the count check")
+
+
+def test_free_weight_count_is_checked_before_any_product(capsys, monkeypatch):
+    assert 9 <= MAX_FREE_WEIGHTS
+    weights = ",".join(["2"] * MAX_FREE_WEIGHTS)
+    code, out = run_cli(capsys, "char", "--which=w-free",
+                        f"--weights={weights}", "--order=4", "--format=json")
+    assert code == 0
+    assert json.loads(out)["series"]["integer_slice"][1] == "0"
+    monkeypatch.setattr(qseries, "_euler_product", _fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["char", "--which=w-free", f"--weights={weights},2",
+              "--order=1000"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: at most {MAX_FREE_WEIGHTS} generator weights, "
+        f"got {MAX_FREE_WEIGHTS + 1}\n")
+
+
+def test_qdim_point_count_is_checked_before_any_value(capsys, monkeypatch):
+    assert 4 <= MAX_QDIM_POINTS
+    t_list = [f"{k}/1000" for k in range(20, 20 + MAX_QDIM_POINTS)]
+    code, out = run_cli(capsys, "qdim", "--module=sgn",
+                        f"--t-list={','.join(t_list)}", "--format=json")
+    assert code == 0
+    assert len(json.loads(out)["t"]) == MAX_QDIM_POINTS
+    monkeypatch.setattr(modular, "character_value", _fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["qdim", "--module=sgn", f"--t-list={','.join(t_list)},1/1000"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: at most {MAX_QDIM_POINTS} t values, "
+        f"got {MAX_QDIM_POINTS + 1}\n")
 
 
 @pytest.mark.parametrize("text, value", [
@@ -507,7 +571,7 @@ def test_char_check_fails_on_a_perturbed_trace(capsys, monkeypatch):
 
 def test_char_check_fails_on_a_perturbed_fixed_count(capsys, monkeypatch):
     counts = list(qseries._fixed_counts(2))
-    counts[qseries._FIELD_PERMUTATIONS.index((2, 1, 3))] += 1
+    counts[GROUPS["S3"].index(Permutation((2, 1, 3)))] += 1
     monkeypatch.setitem(qseries._FIXED_COUNTS, 2, tuple(counts))
     code, out = run_cli(capsys, "char", "--which=s3", "--order=12", "--check",
                         "--format=json")

@@ -30,6 +30,12 @@ def rand_state(rng, basis=ALPHA, maxw=4, rank=3):
     return out
 
 
+def test_states_are_unhashable():
+    # terms is a public dict, so a hashed state could change under its hash
+    with pytest.raises(TypeError):
+        hash(FockState.vacuum(3))
+
+
 def test_creation_examples():
     vac = FockState.vacuum(3)
     assert vac.apply_creation(1, 1) == mono(3, [(1, 1)])
