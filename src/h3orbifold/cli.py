@@ -73,18 +73,12 @@ def _float(value):
         raise ValueError("number too large for a float") from None
 
 
-def _emit(args, payload, text_lines):
-    """Print the text lines, or with --format json the payload after the
-    schema and the verb.  A reader that closes stdout early ends the output
-    but not the verb, whose exit code stands: stdout then points at the null
+def _print(text):
+    """Print the text.  A reader that closes stdout early ends the output but
+    not the verb, whose exit code stands: stdout then points at the null
     device, so the flush at exit has nothing left to fail on."""
     try:
-        if args.format == "json":
-            print(json.dumps({"schema": SCHEMA, "command": args.verb, **payload},
-                             indent=2, default=str))
-        else:
-            for line in text_lines:
-                print(line)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -177,7 +171,7 @@ SUITES = {
 }
 
 
-def cmd_verify(args, parser):
+def cmd_verify(args):
     rng = random.Random(args.seed)
     results = []
     for name, suite in SUITES.items():
@@ -192,8 +186,7 @@ def cmd_verify(args, parser):
              for r in results]
     lines.append(f"{'all checks passed' if all_pass else 'FAILURES PRESENT'} "
                  f"({len(results)} checks)")
-    _emit(args, payload, lines)
-    return 0 if all_pass else 1
+    return payload, lines, 0 if all_pass else 1
 
 
 # -- span ----------------------------------------------------------------------
@@ -208,16 +201,13 @@ def _parse_generator(text):
     return GeneratorId(name, tuple(map(int, positions)))
 
 
-def cmd_span(args, parser):
+def cmd_span(args):
     gens = list(S3_GENERATOR_IDS if args.group == "s3" else Z3_GENERATOR_IDS)
     dropped = None
     if args.drop:
-        try:
-            dropped = _parse_generator(args.drop)
-        except ValueError as exc:
-            parser.error(str(exc))
+        dropped = _parse_generator(args.drop)
         if dropped not in gens:
-            parser.error(f"{args.drop} is not in the {args.group} generating set")
+            raise ValueError(f"{args.drop} is not in the {args.group} generating set")
         gens.remove(dropped)
     report = span_dims(gens, args.max_weight, args.group.upper())
     payload = {
@@ -237,15 +227,14 @@ def cmd_span(args, parser):
                      f"  {'ok' if s == t else 'DEFICIT'}")
     lines.append("matched at all weights" if report.all_matched
                  else f"first deficit at weight {report.first_deficit()}")
-    _emit(args, payload, lines)
     # with a generator dropped, demonstrating a deficit is the expected outcome
-    return 0 if report.all_matched == (dropped is None) else 1
+    return payload, lines, 0 if report.all_matched == (dropped is None) else 1
 
 
 # -- dims ----------------------------------------------------------------------
 
 
-def cmd_dims(args, parser):
+def cmd_dims(args):
     count = args.max_weight + 1
     # the Fock space is the vacuum module
     columns = {column: [int(c) for c in character(which, args.max_weight)
@@ -258,23 +247,19 @@ def cmd_dims(args, parser):
     lines = ["weight  fock   s3-inv  z3-inv"]
     for r in rows:
         lines.append(f"{r['weight']:6d}  {r['fock']:5d}  {r['s3']:6d}  {r['z3']:6d}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
 # -- char ----------------------------------------------------------------------
 
 
-def cmd_char(args, parser):
+def cmd_char(args):
     order = args.order
     try:
         weights = _rationals(args.weights)
     except ValueError as exc:
-        parser.error(f"bad --weights: {exc}")
-    try:
-        series = character(args.which, order, weights)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError(f"bad --weights: {exc}") from None
+    series = character(args.which, order, weights)
     checks = {}
     if args.check_burnside:
         checks["burnside"] = burnside_check(args.which, series, order, weights)
@@ -287,22 +272,17 @@ def cmd_char(args, parser):
     lines.append("  " + " ".join(str(c) for c in series.integer_slice(min(order + 1, 13))))
     if checks:
         lines.append(f"  burnside cross-check: {'pass' if checks['burnside'] else 'FAIL'}")
-    _emit(args, payload, lines)
-    return 0 if all(checks.values()) else 1
+    return payload, lines, 0 if all(checks.values()) else 1
 
 
 # -- qdim / modular -------------------------------------------------------------
 
 
-def cmd_qdim(args, parser):
+def cmd_qdim(args):
     kind, _, rest = args.module.partition(":")
-    try:
-        weights = _rationals(rest)
-        t_list = [_float(t) for t in _rationals(args.t_list)]
-        report = qdim_estimate(kind, t_list, weights=weights)
-    except ValueError as exc:
-        parser.error(str(exc))
-    payload = report.to_json()
+    weights = _rationals(rest)
+    t_list = [_float(t) for t in _rationals(args.t_list)]
+    report = qdim_estimate(kind, t_list, weights=weights)
     lines = [f"module {report.module}: {report.classification}"]
     for t, r in zip(report.t_values, report.ratios):
         lines.append(f"  t={t:<8g} ratio={r:.9g}")
@@ -313,8 +293,7 @@ def cmd_qdim(args, parser):
                          f"{'pass' if report.passed else 'FAIL'}")
     else:
         lines.append(f"  growth exponent: {report.growth_exponent:.4f}")
-    _emit(args, payload, lines)
-    return 0 if report.passed else 1
+    return report.to_json(), lines, 0 if report.passed else 1
 
 
 #: a tau on the imaginary axis: a numerator that ends in its one "i", then
@@ -344,55 +323,41 @@ def _parse_tau(text):
     return complex(0, _float(parse_rational(text)))
 
 
-def cmd_modular(args, parser):
+def cmd_modular(args):
     try:
         tau = _parse_tau(args.tau)
     except (ValueError, ZeroDivisionError):
-        parser.error(f"cannot parse tau {args.tau!r}")
-    reports = []
-    for line in (1, 2, 3):
-        try:
-            reports.append(check_gauss_identity(line, tau, tol=args.tol,
-                                                quadrature=args.quadrature))
-        except ValueError as exc:
-            parser.error(str(exc))
+        raise ValueError(f"cannot parse tau {args.tau!r}") from None
+    reports = [check_gauss_identity(line, tau, tol=args.tol,
+                                    quadrature=args.quadrature)
+               for line in (1, 2, 3)]
     all_pass = all(r.passed for r in reports)
     payload = {"reports": [r.to_json() for r in reports], "pass": all_pass}
     lines = [(f"{r.identity} at tau={args.tau}: rel_err={r.rel_err:.3e} "
               f"{'pass' if r.passed else 'FAIL'}") for r in reports]
-    _emit(args, payload, lines)
-    return 0 if all_pass else 1
+    return payload, lines, 0 if all_pass else 1
 
 
 # -- product --------------------------------------------------------------------
 
 
-def cmd_product(args, parser):
-    try:
-        u, v = parse_state(args.u), parse_state(args.v)
-        u._check_compatible(v)
-        top = u.max_weight() + v.max_weight() - args.n - 1
-        if top > MAX_PRODUCT_WEIGHT and not (u.is_zero() or v.is_zero()):
-            raise ValueError(f"product weight {top} exceeds cap "
-                             f"{MAX_PRODUCT_WEIGHT}")
-        # str refuses an integer past Python's digit limit with ValueError
-        u_text, v_text, result = map(str, (u, v, nth_product(u, args.n, v)))
-    except ValueError as exc:
-        parser.error(str(exc))
-    payload = {"u": u_text, "n": args.n, "v": v_text, "result": result}
-    _emit(args, payload, [result])
-    return 0
+def cmd_product(args):
+    u, v = parse_state(args.u), parse_state(args.v)
+    u._check_compatible(v)
+    top = u.max_weight() + v.max_weight() - args.n - 1
+    if top > MAX_PRODUCT_WEIGHT and not (u.is_zero() or v.is_zero()):
+        raise ValueError(f"product weight {top} exceeds cap {MAX_PRODUCT_WEIGHT}")
+    u_text, v_text, result = map(str, (u, v, nth_product(u, args.n, v)))
+    return {"u": u_text, "n": args.n, "v": v_text, "result": result}, [result], 0
 
 
 # -- manifest -------------------------------------------------------------------
 
 
-def cmd_manifest(args, parser):
+def cmd_manifest(args):
     entries = manifest()
-    payload = {"relations": entries}
     lines = [f"{e['id']:16s} [{e['status']:12s}] {e['tag']}" for e in entries]
-    _emit(args, payload, lines)
-    return 0
+    return {"relations": entries}, lines, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,8 +437,23 @@ def _main_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the verb, which returns its JSON payload, its text lines and its
+    exit code, and print one of the two.  A ValueError from the verb or from
+    rendering its report (an integer past Python's int-to-text limit) is the
+    engine refusing an argument: the verb's usage and the message, exit
+    code 2."""
     args = _main_parser().parse_args(argv)
-    return args.func(args, args.parser)
+    try:
+        payload, lines, code = args.func(args)
+        if args.format == "json":
+            text = json.dumps({"schema": SCHEMA, "command": args.verb,
+                               **payload}, indent=2, default=str)
+        else:
+            text = "\n".join(lines)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+    _print(text)
+    return code
 
 
 if __name__ == "__main__":

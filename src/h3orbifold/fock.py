@@ -341,7 +341,7 @@ def _read_coefficient(part: str) -> Coeff:
     return parse_scalar(inner) * (ZETA if rest else 1)
 
 
-def parse_state(text: str, rank: int = 3, basis: str | None = None) -> FockState:
+def parse_state(text: str, basis: str | None = None) -> FockState:
     """Parse states like "(3/2)*a1(-2)a1(-1) + (1+z)*b2(-1)b3(-1)".
 
     The basis is inferred from the mode tags; pure-scalar text carries no tag,
@@ -369,13 +369,13 @@ def parse_state(text: str, rank: int = 3, basis: str | None = None) -> FockState
             if len(tags) > 1:
                 raise ValueError(f"mixed mode bases in {text!r}")
             field, level = int(field), int(level)
-            if not 1 <= field <= rank:
-                raise ValueError(f"field index {field} outside rank {rank}")
+            if not 1 <= field <= 3:
+                raise ValueError(f"field index {field} outside rank 3")
             if level >= 0:
                 raise ValueError("creation modes must have negative level")
             modes.append((-level, field))
         parsed.append((canonical(modes), _normalize_coeff(coeff)))
-    out = FockState(rank, min(tags, default=ALPHA))
+    out = FockState(3, min(tags, default=ALPHA))
     for modes, c in parsed:
         out._add_term(modes, c)
     return out

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,6 +227,18 @@ def refuse_big_exponents(monkeypatch):
     monkeypatch.setattr(scalars, "Fraction", fraction)
 
 
+#: the interpreter's limit on int-to-text digits, 0 where there is none
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+#: a 2500-digit weight reads; its square, with 4999 digits, does not print
+_PRINTS_2500_NOT_4998_DIGITS = pytest.mark.skipif(
+    not 2500 <= _INT_DIGITS < 4998,
+    reason="needs a limit on int-to-str digits between 2500 and 4997")
+_LONG_WEIGHT = "1" * 2500
+_LONG_WEIGHTS = [("sigma", _LONG_WEIGHT, "<w>"),
+                 ("fock", f"{_LONG_WEIGHT},0,0", "<w>,0,0"),
+                 ("theta", f"{_LONG_WEIGHT},0", "<w>,0")]
+
+
 @pytest.mark.parametrize("argv", [
     ["product", "--u", "a1", "--n", "-1", "--v", "a1(-1)"],
     ["product", "--u", "3/0*a1(-1)", "--n", "-1", "--v", "a1(-1)"],
@@ -278,6 +291,13 @@ def refuse_big_exponents(monkeypatch):
     ["modular", "--tau=ii"],
     ["modular", "--tau=i2"],
     ["modular", "--tau=i-1"],
+    # a highest weight that reads, but whose offset is too long to print
+    *(pytest.param(["char", f"--which={which}", f"--weights={weights}",
+                    "--order=2", *fmt], marks=_PRINTS_2500_NOT_4998_DIGITS,
+                   id=" ".join(["char", f"--which={which}",
+                                f"--weights={shown}", "--order=2", *fmt]))
+      for which, weights, shown in _LONG_WEIGHTS
+      for fmt in ([], ["--format=json"])),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_with_usage_error(capsys, refuse_big_exponents, argv):
     with pytest.raises(SystemExit) as exc:
@@ -431,8 +451,11 @@ def _outcome(capsys, run, argv):
 
 def _fresh_main(argv):
     """``main`` with a parser of its own for this call."""
-    args = build_parser().parse_args(argv)
-    return args.func(args, args.parser)
+    cached, cli._main_parser = cli._main_parser, build_parser
+    try:
+        return main(argv)
+    finally:
+        cli._main_parser = cached
 
 
 @pytest.mark.parametrize("first, second", [
@@ -644,11 +667,19 @@ def test_verify_reports_a_failing_classical_relation(capsys, monkeypatch):
 # -- exit-code property ---------------------------------------------------------
 
 _RATIONAL = (st.integers(-9, 9).map(str)
-             | st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)))
+             | st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9))
+             # a square too long to print
+             | st.integers(10 ** 2499, 10 ** 2500 - 1).map(str))
 _RATIONALS = st.lists(_RATIONAL, max_size=4).map(",".join)
 #: short text over the characters the parsers care about
 _JUNK = st.text(alphabet="0123456789-+*/,.eiabxz() ", max_size=10)
 _FORMAT = st.sampled_from(["text", "json", "xml"])
+
+
+def _rationals_past(bound):
+    """Strategy for a list of bound + 1 rationals, one past a count bound."""
+    return st.lists(_RATIONAL, min_size=bound + 1,
+                    max_size=bound + 1).map(",".join)
 
 
 def _argv(verb, required=(), **options):
@@ -683,7 +714,8 @@ _ARGV = {
                   which=st.sampled_from(["s3", "z3", "sgn", "st", "vac", "fock",
                                          "theta", "sigma", "w-free", "bogus"]),
                   order=st.integers(-1, 8) | st.just(1001),
-                  weights=_RATIONALS | _JUNK),
+                  weights=_RATIONALS | _JUNK
+                  | _rationals_past(MAX_FREE_WEIGHTS)),
     "qdim": _argv("qdim", format=_FORMAT,
                   module=st.builds("{}:{}".format,
                                    st.sampled_from(["fock", "theta", "sigma",
@@ -691,7 +723,8 @@ _ARGV = {
                                                     "bogus"]), _RATIONALS)
                   | st.sampled_from(["sgn", "st"]) | _JUNK,
                   **{"t-list": _RATIONALS | st.sampled_from(
-                      ["1/10000,1/1000", "1000,2000", "1/2,1/2"]) | _JUNK}),
+                      ["1/10000,1/1000", "1000,2000", "1/2,1/2"]) | _JUNK
+                     | _rationals_past(MAX_QDIM_POINTS)}),
     "modular": _argv("modular", format=_FORMAT, quadrature=st.just(True),
                      tau=st.builds("{}i/{}".format, st.integers(-3, 50),
                                    st.integers(0, 50))
@@ -718,5 +751,9 @@ def test_every_subcommand_has_an_argv_strategy():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_exit_code_is_0_1_or_2(capsys, verb, data):
-    code, _ = run_cli(capsys, *data.draw(_ARGV[verb], label="argv"))
+    argv = data.draw(_ARGV[verb], label="argv")
+    start = time.perf_counter()
+    code, _ = run_cli(capsys, *argv)
     assert code in (0, 1, 2)
+    # the work bounds hold on every draw
+    assert time.perf_counter() - start < 10
