@@ -196,15 +196,18 @@ def _parse_generator(text):
     name, _, idx = text.partition("(")
     body = idx[:-1]
     positions = body.split(",") if body else []
-    if not idx.endswith(")") or not all(p.strip() for p in positions):
-        raise ValueError(f"malformed generator {text!r}")
-    return GeneratorId(name, tuple(map(int, positions)))
+    try:
+        if idx.endswith(")") and all(p.strip() for p in positions):
+            return GeneratorId(name, tuple(map(int, positions)))
+    except ValueError:  # an index that is not an integer
+        pass
+    raise ValueError(f"malformed generator {text!r}")
 
 
 def cmd_span(args):
     gens = list(S3_GENERATOR_IDS if args.group == "s3" else Z3_GENERATOR_IDS)
     dropped = None
-    if args.drop:
+    if args.drop is not None:
         dropped = _parse_generator(args.drop)
         if dropped not in gens:
             raise ValueError(f"{args.drop} is not in the {args.group} generating set")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qseries import ORBIFOLD_GROUPS, character_terms
 
@@ -53,15 +53,22 @@ def eta(tau: complex, tol: float = DEFAULT_TOL) -> complex:
     raise OverflowError(f"eta product needs more than {MAX_ETA_FACTORS} factors")
 
 
-@dataclass
 class IdentityReport:
-    identity: str
-    tau: complex
-    lhs: complex
-    rhs: complex
-    rel_err: float
-    passed: bool
-    quadrature_rel_err: float | None = None
+    """One identity at one tau; ``quadrature_rel_err`` is set afterwards
+    when the Gaussian integral is also checked by quadrature."""
+
+    __slots__ = ("identity", "tau", "lhs", "rhs", "rel_err", "passed",
+                 "quadrature_rel_err")
+
+    def __init__(self, identity: str, tau: complex, lhs: complex, rhs: complex,
+                 rel_err: float, passed: bool):
+        self.identity = identity
+        self.tau = tau
+        self.lhs = lhs
+        self.rhs = rhs
+        self.rel_err = rel_err
+        self.passed = passed
+        self.quadrature_rel_err: float | None = None
 
     def to_json(self) -> dict:
         return {
@@ -192,8 +199,7 @@ QDIM_REL_TOL = 0.01
 MAX_QDIM_POINTS = 100
 
 
-@dataclass
-class QdimReport:
+class QdimReport(NamedTuple):
     module: str
     t_values: list
     ratios: list

@@ -8,8 +8,8 @@ L(1) v = L(2) v = 0; notes record the deviation from the source display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fock import FockState
 from .symmetry import Permutation, act, gen, is_invariant
@@ -115,8 +115,7 @@ def pair_orbifold_primary() -> FockState:
             - M(2, (3, 1), (1, 1)) - M(2, (3, 2), (1, 2)))
 
 
-@dataclass
-class PrimaryCheck:
+class PrimaryCheck(NamedTuple):
     name: str
     weight_expected: int
     weight_ok: bool

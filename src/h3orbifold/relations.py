@@ -16,9 +16,9 @@ The catalog is exported as a machine-readable manifest for the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .fock import BETA, FockState
 from .structure import build_D, cubic_family_coefficients
@@ -309,8 +309,7 @@ def _z3_cubic_01a(a):
 # -- catalog -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationEntry:
+class RelationEntry(NamedTuple):
     name: str
     label: str
     builder: object

@@ -5,10 +5,10 @@ induction step, and exact strong-span computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .classical import RELATION_TERMS, relation_arity
 from .fock import BETA, FockState
@@ -83,14 +83,14 @@ def build_D(rel: str, multi_index) -> FockState:
 # -- decomposition reports ----------------------------------------------------
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
+    """Each report gets its own dicts: a default dict would be shared."""
     expression: str
     multi_index: tuple
     ok: bool
-    quartic: dict = field(default_factory=dict)   # ((a,b),(c,d)) -> mu
-    quadratic: dict = field(default_factory=dict)  # (a,b) -> mu
-    cubic: dict = field(default_factory=dict)      # (a,b,c) -> mu
+    quartic: dict              # ((a,b),(c,d)) -> mu
+    quadratic: dict            # (a,b) -> mu
+    cubic: dict                # (a,b,c) -> mu
     residual_monomials: int = 0
 
 
@@ -109,28 +109,23 @@ def check_decomposition(rel: str, multi_index) -> DecompositionReport:
     state = build_D(rel, multi_index)
     idx = tuple(multi_index)
     total = sum(idx)
-    report = DecompositionReport(rel, idx, ok=False)
     # the omega2_0 and omega3_0 generators have every coefficient 1, so
     # their scaled forms (den, re, im) have den 1: re is the state itself,
     # and the re of a product of two such forms is the product itself
 
     if rel == "D5":
         # six-mode terms must already cancel; the rest reads off directly
-        for mon in state.terms:
-            if len(mon) != 3:
-                report.residual_monomials += 1
-        if report.residual_monomials:
-            return report
+        residual = sum(len(mon) != 3 for mon in state.terms)
+        if residual:
+            return DecompositionReport(rel, idx, False, {}, {}, {}, residual)
         try:
             mu = cubic_family_coefficients(state)
         except ValueError:
-            return report
+            return DecompositionReport(rel, idx, False, {}, {}, {})
         # listed by largest index descending, then the next, as the
         # pinned reports print them
-        report.cubic = {t: mu[t] for t in sorted(mu, key=lambda t: t[::-1],
-                                                 reverse=True)}
-        report.ok = True
-        return report
+        cubic = {t: mu[t] for t in sorted(mu, key=lambda t: t[::-1], reverse=True)}
+        return DecompositionReport(rel, idx, True, {}, {}, cubic)
 
     quadratic = _pairs_summing(total + 4)
     pairs = [(a, b) for a in range(total + 3) for b in range(a, total + 3)]
@@ -144,17 +139,12 @@ def check_decomposition(rel: str, multi_index) -> DecompositionReport:
         sb.insert(_product(BETA, x, -1, y)[0])
     coords = sb.solve(state.terms)
     if coords is None:
-        for mon in state.terms:
-            if len(mon) == 6:
-                report.residual_monomials += 1
-        return report
-    for k, v in coords.items():
-        if k < len(quadratic):
-            report.quadratic[quadratic[k]] = v
-        else:
-            report.quartic[quartic[k - len(quadratic)]] = v
-    report.ok = True
-    return report
+        return DecompositionReport(rel, idx, False, {}, {}, {},
+                                   sum(len(mon) == 6 for mon in state.terms))
+    n = len(quadratic)
+    quartic_mu = {quartic[k - n]: v for k, v in coords.items() if k >= n}
+    quadratic_mu = {quadratic[k]: v for k, v in coords.items() if k < n}
+    return DecompositionReport(rel, idx, True, quartic_mu, quadratic_mu, {})
 
 
 # -- determinant criterion ----------------------------------------------------
@@ -259,8 +249,7 @@ def det_A_even_polynomial() -> list:
 # -- strong span --------------------------------------------------------------
 
 
-@dataclass
-class SpanReport:
+class SpanReport(NamedTuple):
     generators: list
     group: str
     max_weight: int

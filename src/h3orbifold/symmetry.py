@@ -11,10 +11,10 @@ case analysis is hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _perms
+from typing import NamedTuple
 
 from .fock import ALPHA, BETA, FockState, canonical, change_basis
 from .vertex import nth_product
@@ -136,8 +136,7 @@ def is_invariant(group: str, v: FockState) -> bool:
 # -- named generator families -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorId:
+class GeneratorId(NamedTuple):
     """Symbolic handle for one of the named invariant generators."""
     family: str
     indices: tuple

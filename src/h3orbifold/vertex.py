@@ -54,6 +54,12 @@ loop over single spreads gives:
 
 T^k / k! reads the same table with the modes of a monomial and E = k.
 
+Both tables hold one object per distinct monomial and per distinct mode:
+each monomial of a memo value or a table entry is interned as it is stored
+(``_shared``), in a dict that ``clear_product_cache`` empties too.  Tuples
+are immutable, so sharing equal ones is invisible to every caller; it only
+keeps thousands of equal copies out of memory.
+
 Products, axiom residuals and translations run on integers.  Each state
 is converted once to its scaled form (den, re, im) (``_scaled``): den is the
 lcm of the denominators of its coefficients, and re and im are the
@@ -87,11 +93,24 @@ _PRODUCT_CACHE: dict = {}
 #: raise table: (modes, excess) -> the merged spreads (``_raises``)
 _RAISE_CACHE: dict = {}
 
+#: intern table: the one stored object of each monomial and mode (``_shared``)
+_SHARED: dict = {}
+
 
 def clear_product_cache() -> None:
-    """Empty the product memo and the raise table."""
+    """Empty the product memo, the raise table and the intern table."""
     _PRODUCT_CACHE.clear()
     _RAISE_CACHE.clear()
+    _SHARED.clear()
+
+
+def _shared(mon: Monomial) -> Monomial:
+    """The stored object equal to mon, built from stored modes."""
+    hit = _SHARED.get(mon)
+    if hit is None:
+        hit = tuple(map(_SHARED.setdefault, mon, mon))
+        _SHARED[hit] = hit  # keyed by hit itself, so mon is not kept
+    return hit
 
 
 def _gen_binom(top: int, k: int) -> int:
@@ -156,7 +175,7 @@ def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> dict:
                     mon = (canonical(rest + raised) if rest and raised
                            else rest or raised)
                     result[mon] = result.get(mon, 0) + coeff * c
-        result = {mon: c for mon, c in result.items() if c}
+        result = {_shared(mon): c for mon, c in result.items() if c}
     _PRODUCT_CACHE[key] = result
     return result
 
@@ -173,7 +192,8 @@ def _raises(modes: Monomial, excess: int) -> list:
         for added, c in _spread(modes, excess):
             raised = canonical(added)
             merged[raised] = merged.get(raised, 0) + c
-        hit = _RAISE_CACHE[key] = list(merged.items())
+        hit = _RAISE_CACHE[key] = [(_shared(raised), c)
+                                   for raised, c in merged.items()]
     return hit
 
 

@@ -262,6 +262,9 @@ _LONG_WEIGHTS = [("sigma", _LONG_WEIGHT, "<w>"),
     ["span", "--drop", "omega3(0,,1,2)"],
     ["span", "--drop", "omega3(0,1,2,)"],
     ["span", "--drop", "omega3(,0,1,2)"],
+    # an empty generator and a non-integer index are malformed too
+    ["span", "--drop", ""],
+    ["span", "--drop", "omega3(a)"],
     ["modular", "--tau", "i/10000"],
     ["modular", "--tau", "10000i", "--quadrature"],
     ["modular", "--tau=1e20"],
@@ -308,6 +311,15 @@ def test_bad_input_exits_with_usage_error(capsys, refuse_big_exponents, argv):
     # the usage and the message are the command's, not those of every verb
     assert out.err.startswith(f"usage: h3orb {argv[0]} ")
     assert f"h3orb {argv[0]}: error: " in out.err
+
+
+@pytest.mark.parametrize("text", ["", "omega3(a)", "omega3(0,1,x)"])
+def test_drop_that_names_no_generator_is_malformed(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["span", "--drop", text])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"h3orb span: error: malformed generator {text!r}\n")
 
 
 @pytest.mark.parametrize("text, tau", [

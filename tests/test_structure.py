@@ -175,6 +175,26 @@ def test_warm_decomposition_builds_no_generator_and_no_state_product(rel, idx):
     assert calls == []
 
 
+def _det_A_factored(a: int) -> F:
+    """(128/3)(a-6)(a-4)^2(a-3)(a-2)(a-1)(a+2) Q(a), the factorisation of
+    det_A over even a found from the interpolated polynomial."""
+    q = -106 * a ** 4 + 798 * a ** 3 - 1712 * a ** 2 + 75 * a + 2520
+    return (F(128, 3) * (a - 6) * (a - 4) ** 2 * (a - 3) * (a - 2) * (a - 1)
+            * (a + 2) * q)
+
+
+@pytest.mark.parametrize("a", [6, *range(10, 51, 2)])
+def test_det_A_equals_its_factorisation(a):
+    assert det_A(a) == _det_A_factored(a)
+
+
+def test_det_A_at_8_is_the_exception_to_its_factorisation():
+    """Labels collide at a = 8, so two rows repeat and the determinant
+    vanishes where the factorised polynomial does not."""
+    assert det_A(8) == 0
+    assert _det_A_factored(8) != 0
+
+
 def test_det_A_even_branch_has_the_quoted_singular_factors():
     """The determinant, as a polynomial over even arguments, is divisible by
     exactly the singular factors of the quoted closed form."""

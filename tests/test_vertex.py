@@ -397,6 +397,27 @@ def test_clearing_the_cache_empties_both_tables():
     assert [list(_monomial_product(*case).items()) for case in cases] == first
 
 
+def test_memos_hold_one_object_per_monomial_and_mode_until_cleared():
+    vertex.clear_product_cache()
+    for case in _kernel_cases(34, 300):
+        _monomial_product(*case)
+    stored = [mon for terms in vertex._PRODUCT_CACHE.values() for mon in terms]
+    stored += [mon for entry in vertex._RAISE_CACHE.values() for mon, _ in entry]
+    monomials, modes = {}, {}
+    for mon in stored:
+        assert monomials.setdefault(mon, mon) is mon
+        for mode in mon:
+            assert modes.setdefault(mode, mode) is mode
+    # equal monomials and modes do recur, so the sharing is exercised
+    assert len(stored) > len(monomials)
+    assert sum(map(len, stored)) > len(modes)
+    # the table keeps no second copy as a key
+    assert vertex._SHARED
+    assert all(key is value for key, value in vertex._SHARED.items())
+    vertex.clear_product_cache()
+    assert not vertex._SHARED
+
+
 def test_wick_kernel_contracts_repeated_modes_both_ways():
     # a(-1)^2 |0> is :a(z)a(z):, whose 3-mode contracts both copies of
     # a(-1) in v, in either order; in the b basis field 2 pairs with 3 only
