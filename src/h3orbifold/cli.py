@@ -193,14 +193,18 @@ def cmd_verify(args):
 
 
 def _parse_generator(text):
+    """The generator whose ``str`` is text: each index as ``str(int)``
+    prints it, so no sign, space, underscore or leading zero."""
     name, _, idx = text.partition("(")
     body = idx[:-1]
     positions = body.split(",") if body else []
     try:
-        if idx.endswith(")") and all(p.strip() for p in positions):
-            return GeneratorId(name, tuple(map(int, positions)))
-    except ValueError:  # an index that is not an integer
-        pass
+        indices = tuple(map(int, positions))
+    except ValueError:  # an empty or non-integer index
+        indices = None
+    if (idx.endswith(")") and indices is not None
+            and list(map(str, indices)) == positions):
+        return GeneratorId(name, indices)
     raise ValueError(f"malformed generator {text!r}")
 
 

@@ -343,7 +343,8 @@ def _close(states, charges, room: dict, max_weight: int, basis: str) -> dict:
     is scaled once to a primitive integer vector by the lcm of its
     denominators (a Q(z) coefficient raises TypeError), and each product is
     summed as a dict {monomial: int} from the integer memo of
-    ``_monomial_product`` (``vertex._accumulate``).  Scaling a state by a
+    ``_monomial_product``, whose flat (monomial, int, ...) tuples
+    ``vertex._accumulate`` reads in place.  Scaling a state by a
     nonzero rational scales every product formed from it, and every vector
     formed later from those, by a nonzero rational, so each product spans
     the same line as in the rational closure.  Each product enters the

@@ -41,8 +41,8 @@ The spreads come from a raise table (``_raises``): for a tuple of modes and
 an excess, the spreads grouped by their canonical raised monomial, the
 coefficients of a group summed, the groups in the order each first occurs.
 It is memoised beside the product memo, and ``clear_product_cache`` empties
-both.  Every memo value is the same int dict, in the same key order, as a
-loop over single spreads gives:
+both.  Every memo value holds the same ints, in the same order, as a loop
+over single spreads gives:
 
 * the sum over the spreads of one sigma depends on sigma only through its
   unmatched modes and E, so it is one table entry;
@@ -54,11 +54,17 @@ loop over single spreads gives:
 
 T^k / k! reads the same table with the modes of a monomial and E = k.
 
+Every product memo value and raise-table entry is one flat tuple
+(mon_1, c_1, mon_2, c_2, ...): the monomials in the order they are first
+met, each followed by its nonzero int coefficient; a zero product is the
+empty tuple.  Readers take the pairs with ``it = iter(x); zip(it, it)``.
 Both tables hold one object per distinct monomial and per distinct mode:
 each monomial of a memo value or a table entry is interned as it is stored
 (``_shared``), in a dict that ``clear_product_cache`` empties too.  Tuples
-are immutable, so sharing equal ones is invisible to every caller; it only
-keeps thousands of equal copies out of memory.
+are immutable, so no caller can change a stored value, and sharing equal
+ones, the empty tuple of every zero product included, is invisible to every
+caller; it only keeps thousands of equal copies and per-entry dicts out of
+memory.
 
 Products, axiom residuals and translations run on integers.  Each state
 is converted once to its scaled form (den, re, im) (``_scaled``): den is the
@@ -123,8 +129,9 @@ def _gen_binom(top: int, k: int) -> int:
     return (-1) ** k * comb(-top + k - 1, k)
 
 
-def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> dict:
-    """dict monomial -> int for (u-monomial)_n (v-monomial), by Wick's theorem.
+def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> tuple:
+    """(u-monomial)_n (v-monomial) by Wick's theorem, as the flat tuple
+    (mon_1, c_1, mon_2, c_2, ...) of its nonzero int terms.
 
     Each term is a partial matching of the modes of u with modes of v that
     carry their pairing partner, followed by a spread of the excess E over
@@ -134,7 +141,8 @@ def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> dict:
     each copy it could take.  Every coefficient is an integer, so the memo
     holds Python ints; ``nth_product`` applies the state coefficients.  No
     intermediate product is formed, so only the products asked for enter
-    the memo.
+    the memo.  The terms are summed in a dict and stored flat, in its key
+    order (see the module docstring).
     """
     key = (basis, u, n, v)
     hit = _PRODUCT_CACHE.get(key)
@@ -171,17 +179,21 @@ def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> dict:
                     continue
                 # rest and every raised part are canonical already
                 rest = tuple(rest)
-                for raised, c in _raises(tuple(free), excess):
+                it = iter(_raises(tuple(free), excess))
+                for raised, c in zip(it, it):
                     mon = (canonical(rest + raised) if rest and raised
                            else rest or raised)
                     result[mon] = result.get(mon, 0) + coeff * c
-        result = {_shared(mon): c for mon, c in result.items() if c}
-    _PRODUCT_CACHE[key] = result
-    return result
+    terms = []
+    for mon, c in result.items():
+        if c:
+            terms += _shared(mon), c
+    flat = _PRODUCT_CACHE[key] = tuple(terms)
+    return flat
 
 
-def _raises(modes: Monomial, excess: int) -> list:
-    """[(raised, coefficient)]: the spreads of excess over modes
+def _raises(modes: Monomial, excess: int) -> tuple:
+    """(raised_1, c_1, raised_2, c_2, ...): the spreads of excess over modes
     (``_spread``) grouped by their canonical raised monomial, in the order
     each first occurs, with the coefficients of a group summed; memoised in
     ``_RAISE_CACHE``."""
@@ -192,8 +204,10 @@ def _raises(modes: Monomial, excess: int) -> list:
         for added, c in _spread(modes, excess):
             raised = canonical(added)
             merged[raised] = merged.get(raised, 0) + c
-        hit = _RAISE_CACHE[key] = [(_shared(raised), c)
-                                   for raised, c in merged.items()]
+        terms = []
+        for raised, c in merged.items():
+            terms += _shared(raised), c
+        hit = _RAISE_CACHE[key] = tuple(terms)
     return hit
 
 
@@ -250,10 +264,22 @@ def _add_into(out: dict, x: dict, k: int) -> None:
 
 
 def _accumulate(out: dict, basis: str, x: dict, n: int, y: dict, k: int) -> None:
-    """out += k * x_n y on {monomial: int} dicts."""
+    """out += k * x_n y on {monomial: int} dicts, reading each memo value's
+    pairs in place; entries of out that become zero are dropped."""
     for mu, cu in x.items():
+        kcu = k * cu
         for mv, cv in y.items():
-            _add_into(out, _monomial_product(basis, mu, n, mv), k * cu * cv)
+            flat = _monomial_product(basis, mu, n, mv)
+            if not flat:  # zero products, about half of a verify's, add nothing
+                continue
+            it = iter(flat)
+            kc = kcu * cv
+            for mon, c in zip(it, it):
+                val = out.get(mon, 0) + kc * c
+                if val:
+                    out[mon] = val
+                else:
+                    del out[mon]
 
 
 def _product(basis: str, x: tuple, n: int, y: tuple) -> tuple:
@@ -293,7 +319,8 @@ def _divided_power(x: dict, k: int) -> dict:
     out: dict = {}
     for mon, c in x.items():
         if mon or not k:
-            for key, f in _raises(mon, k):
+            it = iter(_raises(mon, k))
+            for key, f in zip(it, it):
                 val = out.get(key, 0) + c * f
                 if val:
                     out[key] = val

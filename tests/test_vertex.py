@@ -199,6 +199,20 @@ def test_generator_products_are_pinned(key):
     assert digest == PRODUCT_GRID_SHA256[key]
 
 
+def _pairs(flat):
+    """The (monomial, coefficient) pairs of a flat memo value, in order."""
+    assert type(flat) is tuple and len(flat) % 2 == 0, flat
+    return list(zip(flat[::2], flat[1::2]))
+
+
+def _as_dict(flat):
+    """A flat memo value as a dict, checking that no monomial repeats."""
+    pairs = _pairs(flat)
+    out = dict(pairs)
+    assert len(out) == len(pairs), flat
+    return out
+
+
 def _recursive_product(basis, u, n, v, memo):
     """Oracle for ``_monomial_product``: the free-field recursion that peels
     the first mode x_i(-m) off u = x_i(-m) u',
@@ -265,7 +279,7 @@ def test_wick_kernel_equals_the_recursion():
         basis = rng.choice([ALPHA, BETA])
         u, v = _rand_monomial(rng, 6), _rand_monomial(rng, 8)
         n = rng.randint(-6, 8)
-        got = _monomial_product(basis, u, n, v)
+        got = _as_dict(_monomial_product(basis, u, n, v))
         assert got == _recursive_product(basis, u, n, v, memo), (basis, u, n, v)
         assert all(type(c) is int and c for c in got.values())
         repeated += len(set(u)) < len(u) and len(set(v)) < len(v)
@@ -367,8 +381,8 @@ def test_raise_table_kernel_equals_the_per_spread_kernel():
     repeated_u = repeated_v = nonzero = 0
     for case in cases:
         got = _monomial_product(*case)
-        # equal dicts in the same key order
-        assert list(got.items()) == list(_old_monomial_product(*case).items()), case
+        # equal terms in the same order
+        assert _pairs(got) == list(_old_monomial_product(*case).items()), case
         _, u, _, v = case
         repeated_u += len(set(u)) < len(u)
         repeated_v += len(set(v)) < len(v)
@@ -390,19 +404,19 @@ def test_raise_table_divided_powers_equal_the_per_spread_ones():
 def test_clearing_the_cache_empties_both_tables():
     cases = _kernel_cases(33, 300)
     vertex.clear_product_cache()
-    first = [list(_monomial_product(*case).items()) for case in cases]
+    first = [_pairs(_monomial_product(*case)) for case in cases]
     assert vertex._PRODUCT_CACHE and vertex._RAISE_CACHE
     vertex.clear_product_cache()
     assert not vertex._PRODUCT_CACHE and not vertex._RAISE_CACHE
-    assert [list(_monomial_product(*case).items()) for case in cases] == first
+    assert [_pairs(_monomial_product(*case)) for case in cases] == first
 
 
 def test_memos_hold_one_object_per_monomial_and_mode_until_cleared():
     vertex.clear_product_cache()
     for case in _kernel_cases(34, 300):
         _monomial_product(*case)
-    stored = [mon for terms in vertex._PRODUCT_CACHE.values() for mon in terms]
-    stored += [mon for entry in vertex._RAISE_CACHE.values() for mon, _ in entry]
+    stored = [mon for terms in vertex._PRODUCT_CACHE.values() for mon in terms[::2]]
+    stored += [mon for entry in vertex._RAISE_CACHE.values() for mon in entry[::2]]
     monomials, modes = {}, {}
     for mon in stored:
         assert monomials.setdefault(mon, mon) is mon
@@ -418,32 +432,53 @@ def test_memos_hold_one_object_per_monomial_and_mode_until_cleared():
     assert not vertex._SHARED
 
 
+def test_memo_values_are_flat_tuples_of_interned_monomials_and_nonzero_ints():
+    vertex.clear_product_cache()
+    cases = _kernel_cases(35, 600)
+    for case in cases:
+        _monomial_product(*case)
+    for table in (vertex._PRODUCT_CACHE, vertex._RAISE_CACHE):
+        assert table
+        for key, flat in table.items():
+            assert type(flat) is tuple and len(flat) % 2 == 0, key
+            for mon, c in zip(flat[::2], flat[1::2]):
+                assert type(mon) is tuple and vertex._SHARED.get(mon) is mon, key
+                assert all(vertex._SHARED.get(mode) is mode for mode in mon), key
+                assert type(c) is int and c, key
+    # a zero product, in the oracle's terms, is stored as the empty tuple
+    zero = [case for case in cases if not _old_monomial_product(*case)]
+    assert len(zero) > 100
+    assert all(vertex._PRODUCT_CACHE[case] == () for case in zero)
+
+
 def test_wick_kernel_contracts_repeated_modes_both_ways():
     # a(-1)^2 |0> is :a(z)a(z):, whose 3-mode contracts both copies of
     # a(-1) in v, in either order; in the b basis field 2 pairs with 3 only
     square = ((1, 1), (1, 1))
-    assert _monomial_product("a", square, 3, square) == {(): 2}
+    assert _as_dict(_monomial_product("a", square, 3, square)) == {(): 2}
     b2, b3 = ((1, 2), (1, 2)), ((1, 3), (1, 3))
-    assert _monomial_product("b", b2, 3, b3) == {(): 2}
-    assert _monomial_product("b", b2, 3, b2) == {}
+    assert _as_dict(_monomial_product("b", b2, 3, b3)) == {(): 2}
+    assert _as_dict(_monomial_product("b", b2, 3, b2)) == {}
 
 
 def test_single_modes_are_creation_and_annihilation():
     # (x_f(-m)|0>)_{-1} v = x_f(-m) v, and (x_f(-1)|0>)_l v = x_f(l) v
-    assert _monomial_product("a", ((1, 1),), -1, ()) == {((1, 1),): 1}
-    assert _monomial_product("a", ((2, 1),), -1, ((1, 1),)) == {((2, 1), (1, 1)): 1}
-    assert _monomial_product("a", ((1, 1),), 1, ((1, 1),)) == {(): 1}
-    assert _monomial_product("a", ((1, 1),), 2, ((2, 1),)) == {(): 2}
-    assert _monomial_product("a", ((1, 2),), 1, ((1, 1),)) == {}
+    def kernel(*case):
+        return _as_dict(_monomial_product(*case))
+    assert kernel("a", ((1, 1),), -1, ()) == {((1, 1),): 1}
+    assert kernel("a", ((2, 1),), -1, ((1, 1),)) == {((2, 1), (1, 1)): 1}
+    assert kernel("a", ((1, 1),), 1, ((1, 1),)) == {(): 1}
+    assert kernel("a", ((1, 1),), 2, ((2, 1),)) == {(): 2}
+    assert kernel("a", ((1, 2),), 1, ((1, 1),)) == {}
     rng = random.Random(12)
     for _ in range(200):
         basis = rng.choice([ALPHA, BETA])
         v = _rand_monomial(rng, 6)
         state = FockState(3, basis, {v: F(1)})
         field, level = rng.randint(1, 3), rng.randint(1, 3)
-        assert (_monomial_product(basis, ((level, field),), -1, v)
+        assert (kernel(basis, ((level, field),), -1, v)
                 == state.apply_creation(field, level).terms)
-        assert (_monomial_product(basis, ((1, field),), level, v)
+        assert (kernel(basis, ((1, field),), level, v)
                 == state.apply_annihilation(field, level).terms)
 
 
@@ -457,7 +492,7 @@ def _fraction_product(u, n, v):
     for mu, cu in u.terms.items():
         for mv, cv in v.terms.items():
             coeff = cu * cv
-            for mon, cf in vertex._monomial_product(u.basis, mu, n, mv).items():
+            for mon, cf in _pairs(vertex._monomial_product(u.basis, mu, n, mv)):
                 out._add_term(mon, coeff * cf)
     return out
 
@@ -576,14 +611,14 @@ def test_nth_product_cancels_across_rational_and_z_parts():
 def _wrong_kernel(true_kernel):
     """A kernel that adds a spurious term, so axiom residuals are nonzero."""
     def kernel(basis, u, n, v):
-        out = dict(true_kernel(basis, u, n, v))
+        out = dict(_pairs(true_kernel(basis, u, n, v)))
         extra = canonical(u + v)
         val = out.get(extra, 0) + 2 + n * n
         if val:
             out[extra] = val
         else:
             del out[extra]
-        return out
+        return tuple(x for term in out.items() for x in term)
     return kernel
 
 
