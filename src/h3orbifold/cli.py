@@ -200,11 +200,10 @@ def _parse_generator(text):
     positions = body.split(",") if body else []
     try:
         indices = tuple(map(int, positions))
+        if idx.endswith(")") and list(map(str, indices)) == positions:
+            return GeneratorId(name, indices)
     except ValueError:  # an empty or non-integer index
-        indices = None
-    if (idx.endswith(")") and indices is not None
-            and list(map(str, indices)) == positions):
-        return GeneratorId(name, indices)
+        pass
     raise ValueError(f"malformed generator {text!r}")
 
 

@@ -75,8 +75,8 @@ def build_D(rel: str, multi_index) -> FockState:
     im: dict = {}
     for c, tr, ti in terms:
         k = c.numerator * (den // c.denominator)
-        _add_into(re, tr, k)
-        _add_into(im, ti, k)
+        _add_into(re, tr.items(), k)
+        _add_into(im, ti.items(), k)
     return _unscaled(3, BETA, den, re, im)
 
 

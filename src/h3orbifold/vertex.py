@@ -184,12 +184,19 @@ def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> tuple:
                     mon = (canonical(rest + raised) if rest and raised
                            else rest or raised)
                     result[mon] = result.get(mon, 0) + coeff * c
-    terms = []
-    for mon, c in result.items():
-        if c:
-            terms += _shared(mon), c
-    flat = _PRODUCT_CACHE[key] = tuple(terms)
+    flat = _PRODUCT_CACHE[key] = _flat(result)
     return flat
+
+
+def _flat(terms: dict) -> tuple:
+    """(mon_1, c_1, mon_2, c_2, ...): the nonzero entries of a
+    {monomial: int} dict in key order, each monomial interned
+    (``_shared``); the layout of every memo value and raise entry."""
+    flat = []
+    for mon, c in terms.items():
+        if c:
+            flat += _shared(mon), c
+    return tuple(flat)
 
 
 def _raises(modes: Monomial, excess: int) -> tuple:
@@ -204,10 +211,7 @@ def _raises(modes: Monomial, excess: int) -> tuple:
         for added, c in _spread(modes, excess):
             raised = canonical(added)
             merged[raised] = merged.get(raised, 0) + c
-        terms = []
-        for raised, c in merged.items():
-            terms += _shared(raised), c
-        hit = _RAISE_CACHE[key] = tuple(terms)
+        hit = _RAISE_CACHE[key] = _flat(merged)
     return hit
 
 
@@ -252,10 +256,12 @@ def _unscaled(rank: int, basis: str, den: int, re: dict, im: dict) -> FockState:
     return out
 
 
-def _add_into(out: dict, x: dict, k: int) -> None:
-    """out += k * x on {monomial: int} dicts, for k != 0 and x without zero
-    entries; entries of out that become zero are dropped."""
-    for mon, c in x.items():
+def _add_into(out: dict, pairs, k: int) -> None:
+    """out += k * x on a {monomial: int} dict, for k != 0 and x given by
+    its (monomial, int) pairs without zero entries: a dict's ``items()`` or
+    a memo value's ``zip(it, it)``; entries of out that become zero are
+    dropped."""
+    for mon, c in pairs:
         val = out.get(mon, 0) + k * c
         if val:
             out[mon] = val
@@ -270,16 +276,9 @@ def _accumulate(out: dict, basis: str, x: dict, n: int, y: dict, k: int) -> None
         kcu = k * cu
         for mv, cv in y.items():
             flat = _monomial_product(basis, mu, n, mv)
-            if not flat:  # zero products, about half of a verify's, add nothing
-                continue
-            it = iter(flat)
-            kc = kcu * cv
-            for mon, c in zip(it, it):
-                val = out.get(mon, 0) + kc * c
-                if val:
-                    out[mon] = val
-                else:
-                    del out[mon]
+            if flat:  # zero products, about half of a verify's, add nothing
+                it = iter(flat)
+                _add_into(out, zip(it, it), kcu * cv)
 
 
 def _product(basis: str, x: tuple, n: int, y: tuple) -> tuple:
@@ -295,8 +294,8 @@ def _product(basis: str, x: tuple, n: int, y: tuple) -> tuple:
         if xi and yi:
             zz: dict = {}
             _accumulate(zz, basis, xi, n, yi, -1)
-            _add_into(re, zz, 1)
-            _add_into(im, zz, 1)
+            _add_into(re, zz.items(), 1)
+            _add_into(im, zz.items(), 1)
     return re, im
 
 
@@ -320,12 +319,7 @@ def _divided_power(x: dict, k: int) -> dict:
     for mon, c in x.items():
         if mon or not k:
             it = iter(_raises(mon, k))
-            for key, f in zip(it, it):
-                val = out.get(key, 0) + c * f
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
+            _add_into(out, zip(it, it), c)
     return out
 
 
@@ -384,8 +378,8 @@ def check_skew_symmetry(u: FockState, v: FockState, n: int) -> FockState:
     for j in range(u.max_weight() + v.max_weight() + 2):
         tr, ti = _product(basis, xv, n + j, xu)
         sign = -1 if (n + j) % 2 else 1
-        _add_into(re, _divided_power(tr, j), sign)
-        _add_into(im, _divided_power(ti, j), sign)
+        _add_into(re, _divided_power(tr, j).items(), sign)
+        _add_into(im, _divided_power(ti, j).items(), sign)
     return _unscaled(u.rank, basis, du * dv, re, im)
 
 
@@ -416,8 +410,8 @@ def check_borcherds(u: FockState, v: FockState, w: FockState,
 
     def add(x, n, y, k):
         tr, ti = _product(basis, x, n, y)
-        _add_into(re, tr, k)
-        _add_into(im, ti, k)
+        _add_into(re, tr.items(), k)
+        _add_into(im, ti.items(), k)
 
     # u_{r+i} v vanishes once r + i >= wt_u + wt_v, and C(p, i) once
     # i > p >= 0 (never for p < 0); likewise below with v_{q+i} w, u_{p+i} w

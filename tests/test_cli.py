@@ -74,6 +74,7 @@ def test_span_drop_shows_deficit(capsys):
     data = json.loads(out)
     assert data["matched"] is False
     assert data["first_deficit"] == 4
+    assert data["dropped"] == "omega2(0,2)"
     code, _ = run_cli(capsys, "span", "--group", "s3", "--drop", "omega9(1)")
     assert code == 2
     # an index is read only as str(GeneratorId) prints it, without spaces
