@@ -11,11 +11,13 @@ from math import lcm
 from typing import NamedTuple
 
 from .classical import RELATION_TERMS, relation_arity
-from .fock import BETA, FockState
+from .fock import BETA, FockState, canonical
 from .linalg import Echelon, SolverBasis, _integral, _primitive, det_bareiss
 from .qseries import ORBIFOLD_GROUPS, _euler_product, orbifold_character
-from .symmetry import GeneratorId, build_generator, gen, is_invariant
-from .vertex import _accumulate, _add_into, _product, _scaled, _unscaled
+from .symmetry import (GROUPS, GeneratorId, _action_table, build_generator,
+                       gen, is_invariant)
+from .vertex import (_accumulate, _add_into, _divided_power, _product,
+                     _scaled, _shared, _unscaled)
 
 #: largest weight span_dims (and ``h3orb span``) accepts
 MAX_SPAN_WEIGHT = 12
@@ -293,19 +295,29 @@ def _label(mon, max_weight: int) -> int:
     return -(code << width * (max_weight - len(mon)))
 
 
-class _Labels(dict):
-    """Memo monomial -> ``_label(monomial, max_weight)``."""
+def _permuted(mon, fields: tuple):
+    """The monomial with each field f replaced by fields[f - 1], in
+    canonical order."""
+    return canonical([(level, fields[f - 1]) for level, f in mon])
 
-    def __init__(self, max_weight: int):
+
+class _Labels(dict):
+    """Memo monomial -> ``_label(monomial, max_weight)``, or None for a
+    monomial that is not <= its image under each field map of ``orbit``."""
+
+    def __init__(self, max_weight: int, orbit: tuple):
         super().__init__()
         self.max_weight = max_weight
+        self.orbit = orbit
 
     def __missing__(self, mon):
-        code = self[mon] = _label(mon, self.max_weight)
+        least = all(_permuted(mon, fields) >= mon for fields in self.orbit)
+        code = self[mon] = _label(mon, self.max_weight) if least else None
         return code
 
 
-def _close(states, charges, room: dict, max_weight: int, basis: str) -> dict:
+def _close(states, charges, room: dict, max_weight: int, basis: str,
+           orbit: tuple = (), mirror: tuple = None) -> dict:
     """Ranks per weight, up to max_weight, of the strong span of the states:
     the closure of the vacuum under all their negative modes.
 
@@ -339,6 +351,38 @@ def _close(states, charges, room: dict, max_weight: int, basis: str) -> dict:
     a product is skipped unformed.  So the closure accepts the same rows in
     the same order and gives the same ranks as with rooms that never fill.
 
+    ``orbit`` holds field maps p, each of a group element that maps every
+    monomial m to the monomial p(m) (``_permuted``) with coefficient 1, and
+    that, with the identity, form a group H; the caller has checked that
+    every state is H-invariant.  Then so is every vector formed, as H acts
+    by automorphisms, and an invariant vector v = sum c_m m has
+    c_(p(m)) = c_m: it is constant on each H-orbit of monomials.  Keeping
+    only the coordinate of each orbit's least monomial, the one <= all its
+    images, is a linear map that is injective on H-invariant vectors
+    (Sturmfels, *Algorithms in Invariant Theory*, ch. 2), so it changes no
+    rank and no insert's verdict.  ``_Labels`` gives the other monomials
+    the label None, which is dropped from each echelon row; the accepted
+    vectors keep all their terms for later products.  With no orbit maps
+    no label is None.
+
+    ``mirror`` is None or the field map of an automorphism tau that maps
+    every monomial to one monomial with coefficient 1 and the charge q to
+    -q.  The caller turns it on only when, for every state s, tau(s) lies
+    in the span of the T^j s' / j! over the states s' with
+    j = wt(s) - wt(s') >= 0.  Then tau(s)_n, n <= -1, is a combination of
+    the (T^j s' / j!)_n = (-1)^j C(n, j) s'_(n-j), negative modes of the
+    states, so tau maps every s_n1 ... s_nk |0> into the span C, and, being
+    injective and graded, maps C_(w, q) onto C_(w, -q).  (That tau(s) lies
+    in C would not do: C need not be closed under the modes of its
+    composite vectors.)  So the closure forms no candidate of charge below
+    0, and after each weight it counts tau(x) for every x accepted there
+    with q > 0, and appends it, interned (``_shared``) and tagged as x, as
+    a vector of charge -q unless no later weight reads it.  By
+    induction the accepted vectors below w span every C_(w', q'), so the
+    candidates of charge q >= 0 span C_(w, q); the images of the accepted
+    vectors of charge -q span C_(w, q) for q < 0, are independent, and lie
+    in grades apart from every other row, so each adds 1 to the rank.
+
     The closure runs on integers only, and this changes no rank.  Each state
     is scaled once to a primitive integer vector by the lcm of its
     denominators (a Q(z) coefficient raises TypeError), and each product is
@@ -362,8 +406,11 @@ def _close(states, charges, room: dict, max_weight: int, basis: str) -> dict:
         ints = _integral(s.terms)[1]
         gens.append(_primitive(ints) if ints else ints)
     weights = [s.max_weight() for s in states]
-    room = dict(room)
-    labels = _Labels(max_weight)
+    # a vector of weight wx meets a state of weight ws at weights >= wx + ws
+    # and > wx only
+    reach = max(1, min(weights, default=1))
+    room = {g: d for g, d in room.items() if mirror is None or g[1] >= 0}
+    labels = _Labels(max_weight, orbit)
     accepted = [({(): 1}, 0, 0, len(gens), 0)]   # (x, wx, qx, i2, n2)
     ranks = {0: 1}
     for w in range(1, max_weight + 1):
@@ -376,17 +423,28 @@ def _close(states, charges, room: dict, max_weight: int, basis: str) -> dict:
                 ordered = i < i2 or i == i2 and n <= n2
                 (early if ordered else late).append((i, n, x, qx))
         echelon = Echelon()
+        fresh = len(accepted)
         for i, n, x, qx in early + late:
             q = charges[i] + qx
             if not room.get((w, q)):
                 continue
             prod: dict = {}
             _accumulate(prod, basis, gens[i], n, x, 1)
-            if prod and echelon.insert(
-                    {labels[mon]: c for mon, c in prod.items()}):
+            if not prod:
+                continue
+            row = {labels[mon]: c for mon, c in prod.items()}
+            row.pop(None, None)
+            if echelon.insert(row):
                 accepted.append((prod, w, q, i, n))
                 room[w, q] -= 1
         ranks[w] = echelon.rank
+        if mirror is not None:
+            images = [(x, q, i, n) for x, _, q, i, n in accepted[fresh:] if q > 0]
+            ranks[w] += len(images)
+            if w + reach <= max_weight:   # else no later candidate reads them
+                accepted += [({_shared(_permuted(mon, mirror)): c
+                               for mon, c in x.items()}, w, -q, i, n)
+                             for x, q, i, n in images]
     return ranks
 
 
@@ -410,8 +468,9 @@ def _z3_block_dims(max_weight: int) -> dict:
     the blocks of dimension 0 left out.  The callers share the dict, so
     none may change it.
 
-    Z3 acts diagonally on the ``b`` basis (``symmetry._beta_action_table``):
-    the 3-cycles scale b2 by z^(+-1) and b3 by z^(-+1) and fix b1.  So a
+    Z3 acts diagonally on the ``b`` basis (``symmetry._action_table``,
+    whose 3-cycles have the entries (1, 0), (2, +-1), (3, -+1)): they scale
+    b2 by z^(+-1) and b3 by z^(-+1) and fix b1.  So a
     field-1-free monomial of charge q has eigenvalue z^(+-q), the
     invariants of a block are spanned by its monomials when q = 0 mod 3 and
     are 0 otherwise, and their number is
@@ -464,6 +523,39 @@ def _with_free_boson(dims: dict, remove: bool = False) -> dict:
     row = (_euler_product(1, top, (), range(1, top + 1)) if remove
            else _euler_product(1, top, (1,)))
     return {w: sum(row[k] * dims[w - k] for k in range(w + 1)) for w in dims}
+
+
+def _orbit_maps(group: str, basis: str) -> tuple:
+    """The field maps of the elements of the group that permute the
+    monomials of the basis with coefficient 1 (every exponent of their
+    ``_action_table`` is 0) and move a field: every S3 element in the ``a``
+    basis, the transposition that fixes field 1 in the ``b`` basis, none of
+    Z3 there (``_close``'s ``orbit``)."""
+    maps = []
+    for sigma in GROUPS[group]:
+        table = _action_table(sigma.images, basis)
+        fields = tuple(h for h, _ in table)
+        if not any(k for _, k in table) and fields != tuple(sorted(fields)):
+            maps.append(fields)
+    return tuple(maps)
+
+
+def _charge_mirror(states) -> tuple:
+    """The field map of tau, the one S3 element that permutes ``b``-basis
+    monomials with coefficient 1 and moves a field (it fixes field 1 and is
+    not in Z3), if for every state s tau(s) lies in the span of the
+    T^j s' / j! over the states s' with j = wt(s) - wt(s') >= 0; else None
+    (``_close``'s ``mirror``)."""
+    (tau,) = _orbit_maps("S3", BETA)
+    forms = [(s.max_weight(), _integral(s.terms)[1]) for s in states]
+    for ws, x in forms:
+        below = Echelon()
+        for wt, y in forms:
+            if wt <= ws:
+                below.insert(_divided_power(y, ws - wt))
+        if below.reduce({_permuted(mon, tau): c for mon, c in x.items()}):
+            return None
+    return tau
 
 
 def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
@@ -539,12 +631,15 @@ def span_dims(generators, max_weight: int, group: str = "S3") -> SpanReport:
     closed, goal = ((states, target) if rest is None
                     else (rest, _with_free_boson(target, remove=True)))
     charges = [_charge(s.terms) for s in closed]
+    mirror = None
     if group == "Z3" and basis == BETA and None not in charges:
         room = _z3_block_dims(max_weight)
+        mirror = _charge_mirror(closed)
     else:
         charges = [0] * len(closed)
         room = {(w, 0): d for w, d in goal.items()}
-    dims = _close(closed, charges, room, max_weight, basis)
+    dims = _close(closed, charges, room, max_weight, basis,
+                  _orbit_maps(group, basis), mirror)
     if rest is not None:
         dims = _with_free_boson(dims)
     matched = {w: dims[w] == target[w] for w in range(max_weight + 1)}

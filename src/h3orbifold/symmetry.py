@@ -4,9 +4,10 @@ named invariant generator families.
 On the standard basis a permutation just relabels field indices.  On the
 diagonalized rank-3 basis the induced action is monomial: transpositions swap
 fields 2 and 3 (possibly with a cube-root-of-unity factor) and 3-cycles scale
-fields 2 and 3 by z and z^2.  The action matrices are derived once, exactly,
-through ``fock.change_basis`` from the action on the standard basis, so no
-case analysis is hard-coded.
+fields 2 and 3 by z and z^2.  Each (permutation, basis) has one integer
+table, field -> (new field, exponent of z mod 3), read once from the
+exponents of the basis change ``fock._B_TO_A`` (``_action_table``), so no
+case analysis is hard-coded and no ``Scalar`` arithmetic moves a monomial.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from functools import lru_cache
 from itertools import permutations as _perms
 from typing import NamedTuple
 
-from .fock import ALPHA, BETA, FockState, canonical, change_basis
+from .fock import _B_TO_A, ALPHA, BETA, FockState, canonical, change_basis
+from .scalars import ZETA, Scalar
 from .vertex import nth_product
 
 
@@ -79,50 +81,78 @@ GROUPS = {
 }
 
 
+#: z^k by k, and the exponent k of each power z^k in ``fock._B_TO_A``
+_POWERS = (Scalar(1), ZETA, ZETA * ZETA)
+_EXPONENTS = {p: k for k, p in enumerate(_POWERS)}
+
+
+# In the ``a`` basis sigma moves a_f to a_sigma(f), and every k is 0.  In the
+# ``b`` basis b_f ~ sum_g z^E[f][g] a_g, E the exponents of ``fock._B_TO_A``,
+# so sigma(b_f) ~ sum_g z^E[f][g] a_sigma(g), and its coordinate on b_h is
+# (1/3) sum_g z^d(g), d(g) = E[f][g] - E[h][sigma(g)] mod 3 (the inverse
+# matrix is the conjugate over 3).  That coordinate is z^k when d is the
+# constant k, and 0 when d takes each of 0, 1, 2 once, as 1 + z + z^2 = 0;
+# anything else is refused, and so is a b_f with no image or more than one.
+# The normalisation, one 1/sqrt(3) per mode, is the same on both sides, so
+# the action is exactly the table.
 @lru_cache(maxsize=None)
-def _beta_action_table(images: tuple) -> tuple:
-    """For a rank-3 permutation, the monomial matrix of its action on the
-    diagonalized basis: field -> (scalar, new_field).  Each mode b_f(-1) is
-    moved to the standard basis, permuted there and moved back."""
-    sigma = Permutation(images)
+def _action_table(images: tuple, basis: str) -> tuple:
+    """((h_1, k_1), (h_2, k_2), ...): the permutation with these images maps
+    the mode of field f, at any level, to z^(k_f) times the mode of field
+    h_f at that level, 0 <= k_f < 3, in the basis."""
+    if basis == ALPHA:
+        return tuple((h, 0) for h in images)
+    exps = {f: {g: _EXPONENTS[w] for g, w in row} for f, row in _B_TO_A.items()}
     table = []
     for f in (1, 2, 3):
-        b_f = FockState.monomial(3, [(1, f)], basis=BETA)
-        image = change_basis(act(sigma, change_basis(b_f, ALPHA)), BETA)
-        if len(image.terms) != 1:
+        diffs = {h: {(exps[f][g] - exps[h][images[g - 1]]) % 3 for g in (1, 2, 3)}
+                 for h in (1, 2, 3)}
+        if sorted(map(len, diffs.values())) != [1, 3, 3]:
             raise AssertionError("group action is not monomial in this basis")
-        (((_, new_field),), c), = image.terms.items()
-        table.append((c, new_field))
+        table += [(h, min(d)) for h, d in diffs.items() if len(d) == 1]
     return tuple(table)
 
 
-def act(sigma: Permutation, v: FockState) -> FockState:
-    """The linear action of a permutation on a Fock state."""
+def _table(sigma: Permutation, v: FockState) -> tuple:
     if len(sigma.images) != v.rank:
         raise ValueError(f"permutation of size {len(sigma.images)} on rank {v.rank}")
+    return _action_table(sigma.images, v.basis)
+
+
+def _moved(table: tuple, mon) -> tuple:
+    """(image of the monomial in canonical order, its exponent k mod 3):
+    the table maps mon to z^k times the image."""
+    k = 0
+    modes = []
+    for lv, f in mon:
+        h, e = table[f - 1]
+        modes.append((lv, h))
+        k += e
+    return canonical(modes), k % 3
+
+
+def act(sigma: Permutation, v: FockState) -> FockState:
+    """The linear action of a permutation on a Fock state, read from its
+    ``_action_table``; a coefficient is multiplied only by a power z^k,
+    k != 0."""
+    table = _table(sigma, v)
     out = FockState(v.rank, v.basis)
-    if v.basis == ALPHA:
-        for mon, c in v.terms.items():
-            moved = canonical(tuple((lv, sigma(f)) for lv, f in mon))
-            out._add_term(moved, c)
-        return out
-    table = _beta_action_table(sigma.images)
     for mon, c in v.terms.items():
-        coeff = c
-        modes = []
-        for lv, f in mon:
-            s, nf = table[f - 1]
-            modes.append((lv, nf))
-            coeff = coeff * s
-        out._add_term(canonical(modes), coeff)
+        moved, k = _moved(table, mon)
+        out._add_term(moved, c * _POWERS[k] if k else c)
     return out
+
+
+def _members(group: str) -> list:
+    members = GROUPS.get(group)
+    if members is None:
+        raise ValueError(f"unknown group spec {group!r} (use S3, Z3 or S2)")
+    return members
 
 
 def reynolds(group: str, v: FockState) -> FockState:
     """Group-average projector onto invariants; idempotent."""
-    members = GROUPS.get(group)
-    if members is None:
-        raise ValueError(f"unknown group spec {group!r} (use S3, Z3 or S2)")
+    members = _members(group)
     out = FockState(v.rank, v.basis)
     for sigma in members:
         out = out + act(sigma, v)
@@ -130,7 +160,17 @@ def reynolds(group: str, v: FockState) -> FockState:
 
 
 def is_invariant(group: str, v: FockState) -> bool:
-    return all(act(sigma, v) == v for sigma in GROUPS[group])
+    """True if every element of the group fixes v.  sigma maps monomials
+    bijectively, m to z^k sigma(m), so it fixes v exactly when
+    c(sigma(m)) = z^k c(m) for every monomial m of v."""
+    terms = v.terms
+    for sigma in _members(group):
+        table = _table(sigma, v)
+        for mon, c in terms.items():
+            moved, k = _moved(table, mon)
+            if terms.get(moved) != (c * _POWERS[k] if k else c):
+                return False
+    return True
 
 
 # -- named generator families -------------------------------------------------
@@ -202,8 +242,11 @@ def verify_generator_translation(a: int, b: int = None, c: int = None) -> FockSt
 
     (the square root powers all collapse to integral powers of 3 because the
     identities are homogeneous in the number of modes.)  Returns LHS - RHS.
+    A c without b names no identity and is refused.
     """
     if b is None:
+        if c is not None:
+            raise ValueError("the third index needs a second one")
         lhs = change_basis(gen("omega1", a), BETA)
         return lhs - gen("omega1_0", a).scale(Fraction(3))
     if c is None:

@@ -57,7 +57,8 @@ T^k / k! reads the same table with the modes of a monomial and E = k.
 Every product memo value and raise-table entry is one flat tuple
 (mon_1, c_1, mon_2, c_2, ...): the monomials in the order they are first
 met, each followed by its nonzero int coefficient; a zero product is the
-empty tuple.  Readers take the pairs with ``it = iter(x); zip(it, it)``.
+empty tuple.  Readers take the pairs with ``it = iter(x); zip(it, it)``,
+or through ``_pairs``, which returns a one-pair tuple as its own pair.
 Both tables hold one object per distinct monomial and per distinct mode:
 each monomial of a memo value or a table entry is interned as it is stored
 (``_shared``), in a dict that ``clear_product_cache`` empties too.  Tuples
@@ -179,8 +180,7 @@ def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> tuple:
                     continue
                 # rest and every raised part are canonical already
                 rest = tuple(rest)
-                it = iter(_raises(tuple(free), excess))
-                for raised, c in zip(it, it):
+                for raised, c in _pairs(_raises(tuple(free), excess)):
                     mon = (canonical(rest + raised) if rest and raised
                            else rest or raised)
                     result[mon] = result.get(mon, 0) + coeff * c
@@ -197,6 +197,16 @@ def _flat(terms: dict) -> tuple:
         if c:
             flat += _shared(mon), c
     return tuple(flat)
+
+
+def _pairs(flat: tuple):
+    """The (monomial, int) pairs of a flat memo value or raise entry: a
+    one-pair entry, most raise entries, is its own pair; longer ones are
+    read through ``zip(it, it)``."""
+    if len(flat) == 2:
+        return (flat,)
+    it = iter(flat)
+    return zip(it, it)
 
 
 def _raises(modes: Monomial, excess: int) -> tuple:
@@ -318,8 +328,7 @@ def _divided_power(x: dict, k: int) -> dict:
     out: dict = {}
     for mon, c in x.items():
         if mon or not k:
-            it = iter(_raises(mon, k))
-            _add_into(out, zip(it, it), c)
+            _add_into(out, _pairs(_raises(mon, k)), c)
     return out
 
 

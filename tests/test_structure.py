@@ -461,11 +461,13 @@ def test_span_forms_the_same_products_as_the_rational_closure():
 
 def test_span_in_the_rank2_factor_forms_fewer_products():
     # span_dims splits off omega1_0 = b1(-1) and closes the rest in H(2),
-    # where the ordered pairs fill every charge block and no other is formed
+    # where the ordered pairs fill every charge block and no other is
+    # formed, and no product of negative charge: those blocks are mirror
+    # images (461 products before the mirror)
     from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
     clear_product_cache()
     span_dims(Z3_GENERATOR_IDS, 10, "Z3")
-    assert len(_PRODUCT_CACHE) == 461
+    assert len(_PRODUCT_CACHE) == 333
 
 
 def _unreduced_dims(gens, max_weight):
@@ -714,6 +716,115 @@ def test_diagonal_s3_single_drop_dims_are_pinned(dropped):
     rep = span_dims(gens, len(pinned) - 1, "S3")
     assert list(rep.dims_spanned.values()) == pinned
     assert not rep.all_matched
+
+
+def _coefficient_one_elements(group, basis):
+    """The oracle of the orbit maps: the group elements that map every mode
+    x_f(-1) of the basis to one mode with coefficient 1, through ``act``."""
+    modes = [FockState.monomial(3, [(1, f)], basis=basis) for f in (1, 2, 3)]
+    return [sigma for sigma in GROUPS[group]
+            if all(list(act(sigma, x).terms.values()) == [1] for x in modes)]
+
+
+@pytest.mark.parametrize("group, basis, size",
+                         [("S3", "a", 6), ("S3", BETA, 2), ("Z3", "a", 3),
+                          ("Z3", BETA, 1)])
+def test_orbit_labels_keep_exactly_the_least_monomial_of_each_orbit(
+        group, basis, size):
+    # a monomial keeps its label only if it is the least of its orbit under
+    # the elements that permute monomials with coefficient 1; Z3 in the b
+    # basis has none but the identity, so every monomial keeps its label
+    elements = _coefficient_one_elements(group, basis)
+    assert len(elements) == size
+    orbit = structure._orbit_maps(group, basis)
+    assert len(orbit) == size - 1
+    labels = structure._Labels(8, orbit)
+    for w in range(9):
+        for mon in enumerate_basis(3, w):
+            images = set()
+            for sigma in elements:
+                images |= act(sigma, FockState(3, basis, {mon: F(1)})).terms.keys()
+            least = mon == min(images)
+            assert (labels[mon] is not None) == least, mon
+            if least:
+                assert labels[mon] == structure._label(mon, 8)
+
+
+#: every S3 path through span_dims, drops included, and the S3 set in the
+#: b basis, which is closed in H(3)
+_ORBIT_CASES = (
+    [pytest.param(S3_GENERATOR_IDS, 8, d, id=f"s3-{d}")
+     for d in [None] + [str(g) for g in S3_GENERATOR_IDS]]
+    + [pytest.param(S3_DIAGONAL_GENERATOR_IDS, 7, d, id=f"diagonal-{d}")
+       for d in [None] + [str(g) for g in S3_DIAGONAL_GENERATOR_IDS]]
+    + [pytest.param("b", 6, None, id="s3-in-the-b-basis")])
+
+
+@pytest.mark.parametrize("ids, max_weight, dropped", _ORBIT_CASES)
+def test_orbit_rows_give_the_ranks_of_full_rows(monkeypatch, ids, max_weight,
+                                                dropped):
+    # span_dims compresses every S3 row to the orbit-least monomials; full
+    # rows give the same ranks after the same inserts, and store more terms
+    if ids == "b":
+        gens = [change_basis(build_generator(g), BETA) for g in S3_GENERATOR_IDS]
+    else:
+        gens = [g for g in ids if str(g) != dropped]
+    ((states, charges, room, top, basis, orbit, mirror), _), = _close_calls(
+        monkeypatch, gens, max_weight, "S3")
+    assert orbit and mirror is None
+    on = _recorded_close(monkeypatch, states, charges, room, top, basis, orbit)
+    off = _recorded_close(monkeypatch, states, charges, room, top, basis)
+    assert on[0] == off[0]
+    assert on[2] == off[2]
+    labels = structure._Labels(top, orbit)
+    kept = {labels[m] for w in range(top + 1) for m in enumerate_basis(3, w)}
+    assert all(kept.issuperset(row) for rows in on[1] for row in rows.values())
+    assert (sum(len(r) for rows in on[1] for r in rows.values())
+            < sum(len(r) for rows in off[1] for r in rows.values()))
+
+
+#: the Z3 sets whose closed states tau maps into the span of their
+#: translates: the paper's set, and two of its single drops
+_MIRRORED = {None, "omega1_0(0)", "omega23_0(0,3)"}
+
+
+@pytest.mark.parametrize("dropped", [None] + [str(g) for g in Z3_GENERATOR_IDS])
+def test_charge_mirror_is_on_only_where_the_generators_are_tau_stable(
+        monkeypatch, dropped):
+    gens = [g for g in Z3_GENERATOR_IDS if str(g) != dropped]
+    ((states, *_, orbit, mirror), _), = _close_calls(monkeypatch, gens, 4, "Z3")
+    assert orbit == ()
+    assert mirror == ((1, 3, 2) if dropped in _MIRRORED else None)
+
+
+@pytest.mark.parametrize("dropped, forced, exact", [
+    ("omega23_0(0,0)", 612, 618), ("omega333_0(0,0,0)", 880, 730)])
+def test_the_mirror_without_its_stability_test_miscounts(monkeypatch, dropped,
+                                                         forced, exact):
+    # the stability test turns the mirror off for these drops; forced on,
+    # the closure at weight 10 misses or invents vectors
+    gens = [g for g in Z3_GENERATOR_IDS if str(g) != dropped]
+    ((states, charges, room, top, basis, orbit, mirror), _), = _close_calls(
+        monkeypatch, gens, 10, "Z3")
+    assert mirror is None
+    wrong = structure._close(states, charges, room, top, basis, orbit, (1, 3, 2))
+    assert structure._with_free_boson(wrong)[10] == forced
+    assert span_dims(gens, 10, "Z3").dims_spanned[10] == exact
+
+
+def test_mirror_images_are_interned(monkeypatch):
+    # every monomial of a mirror image goes through vertex._shared, so the
+    # images hold the memo's own monomial and mode objects
+    interned = []
+
+    def spy(mon):
+        interned.append(mon)
+        return vertex._shared(mon)
+
+    monkeypatch.setattr(structure, "_shared", spy)
+    span_dims(Z3_GENERATOR_IDS, 8, "Z3")
+    assert interned
+    assert all(structure._charge({mon: 1}) < 0 for mon in interned)
 
 
 def test_labels_are_injective_and_reverse_the_monomial_order():

@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from h3orbifold.fock import ALPHA, BETA, FockState, change_basis, enumerate_basis
-from h3orbifold.scalars import Scalar, ZETA
+from h3orbifold.fock import (ALPHA, BETA, FockState, canonical, change_basis,
+                             enumerate_basis)
+from h3orbifold.scalars import ZETA
 from h3orbifold.symmetry import (GROUPS, GeneratorId, Permutation,
-                                 _beta_action_table, act, build_generator,
+                                 _action_table, act, build_generator,
                                  gen, is_invariant, reynolds,
                                  verify_generator_translation)
 from h3orbifold.vertex import nth_product
@@ -148,6 +149,12 @@ def test_generator_translation_bridge():
         assert verify_generator_translation(a, b, c).is_zero()
 
 
+def test_generator_translation_refuses_a_third_index_without_a_second():
+    # it used to check the omega1 bridge alone and return its zero residual
+    with pytest.raises(ValueError, match="third index"):
+        verify_generator_translation(0, None, 2)
+
+
 def test_generator_translation_squared_form():
     # the linear bridge in its paired form: w1(a) . w1(b) = 3 * (diagonal side)
     for (a, b) in [(0, 0), (0, 1), (1, 2)]:
@@ -159,12 +166,58 @@ def test_generator_translation_squared_form():
 
 def test_beta_action_table_is_diagonal_on_z3_and_swaps_b2_b3_on_a_transposition():
     # the charge blocks of the Z3 span rest on this: the 3-cycles fix b1
-    # and scale b2 and b3 by inverse cube roots of unity
-    one, z, zz = Scalar(1), ZETA, ZETA * ZETA
-    assert _beta_action_table((1, 2, 3)) == ((one, 1), (one, 2), (one, 3))
-    assert _beta_action_table((2, 3, 1)) == ((one, 1), (z, 2), (zz, 3))
-    assert _beta_action_table((3, 1, 2)) == ((one, 1), (zz, 2), (z, 3))
-    assert _beta_action_table((1, 3, 2)) == ((one, 1), (one, 3), (one, 2))
+    # and scale b2 and b3 by inverse cube roots of unity; each entry is
+    # (new field, exponent of z)
+    assert _action_table((1, 2, 3), BETA) == ((1, 0), (2, 0), (3, 0))
+    assert _action_table((2, 3, 1), BETA) == ((1, 0), (2, 1), (3, 2))
+    assert _action_table((3, 1, 2), BETA) == ((1, 0), (2, 2), (3, 1))
+    assert _action_table((1, 3, 2), BETA) == ((1, 0), (3, 0), (2, 0))
     # the other two transpositions swap b2 and b3 with a cube root of unity
-    assert _beta_action_table((2, 1, 3)) == ((one, 1), (zz, 3), (z, 2))
-    assert _beta_action_table((3, 2, 1)) == ((one, 1), (z, 3), (zz, 2))
+    assert _action_table((2, 1, 3), BETA) == ((1, 0), (3, 2), (2, 1))
+    assert _action_table((3, 2, 1), BETA) == ((1, 0), (3, 1), (2, 2))
+
+
+def _permuted_in_a(sigma, state):
+    """The oracle action on the ``a`` basis: relabel every field."""
+    return FockState(3, ALPHA, {canonical((lv, sigma(f)) for lv, f in mon): c
+                                for mon, c in state.terms.items()})
+
+
+@pytest.mark.parametrize("basis", [ALPHA, BETA])
+@pytest.mark.parametrize("sigma", GROUPS["S3"],
+                         ids=lambda s: "".join(map(str, s.images)))
+def test_action_table_equals_the_basis_change_round_trip(sigma, basis):
+    # each mode x_f(-m) is moved to the a basis, permuted there and moved
+    # back; the image is z^k x_h(-m) for the table's entry (h, k)
+    for f, (h, k) in zip((1, 2, 3), _action_table(sigma.images, basis)):
+        for level in (1, 2):
+            x_f = FockState.monomial(3, [(level, f)], basis=basis)
+            image = change_basis(_permuted_in_a(sigma, change_basis(x_f, ALPHA)),
+                                 basis)
+            x_h = FockState.monomial(3, [(level, h)], basis=basis)
+            assert image == x_h.scale((1, ZETA, ZETA * ZETA)[k]), (f, level)
+
+
+def test_invariance_is_checked_against_the_image_states():
+    # is_invariant reads coefficients through the table and builds no
+    # image; it must agree with comparing act's images with the state
+    rng = random.Random(23)
+    cases = [gen("omega23_0", 0, 1), gen("omega222_0", 0, 0, 1),
+             gen("omega3_0", 0, 1, 2), gen("omega2", 0, 2),
+             gen("omega23_0", 0, 1).scale(ZETA),
+             gen("omega2_0", 0, 1) + gen("omega23_0", 1, 0).scale(ZETA)]
+    for basis in (ALPHA, BETA):
+        for _ in range(20):
+            v = rand_state(rng, basis)
+            cases += [v, reynolds("Z3", v), reynolds("S3", v), reynolds("S2", v)]
+    for group in ("S3", "Z3", "S2"):
+        for v in cases:
+            assert is_invariant(group, v) == all(
+                act(sigma, v) == v for sigma in GROUPS[group]), (group, v)
+
+
+def test_invariance_refuses_an_unknown_group_as_reynolds_does():
+    v = gen("omega1", 0)
+    for check in (is_invariant, reynolds):
+        with pytest.raises(ValueError, match="unknown group spec 'D4'"):
+            check("D4", v)
