@@ -6,7 +6,7 @@ defined once, as a table of Euler-product terms (``character_terms``): the
 exact series expand each term with ``_euler_product``,
 ``modular.character_value`` evaluates the same terms in floats, and
 ``burnside_check`` (``h3orb char --check``) class-averages the direct
-traces with them.
+fixed-point counts with them.
 
 ``_euler_product`` divides by Euler's pentagonal series
 prod_{n>=1} (1 - x^n) = sum_{j in Z} (-1)^j x^(j(3j-1)/2) (Andrews, *The
@@ -19,11 +19,13 @@ additions on N lattice points where the per-part passes cost O(N^2).
 
 Coefficients stay Python ints wherever they are integral by construction:
 a series keeps an ``int`` coefficient as an ``int`` and makes a ``Fraction``
-only of any other value.  A class average sums the weighted traces in ints
-and divides once per coefficient.  ``int`` and ``Fraction`` coefficients of
-equal value compare and print alike, so the output does not depend on which
-one a series holds.  The Burnside oracle ``fock_trace_series`` counts fixed
-monomials directly on their (level, field) index tuples.
+only of any other value.  A class average sums the weighted rows in ints
+and divides once per coefficient, keeping an ``int`` wherever the divisor
+divides the sum (for the class sums it always does).  ``int`` and
+``Fraction`` coefficients of equal value compare and print alike, so the
+output does not depend on which one a series holds.  The Burnside oracle
+``fock_trace_series`` counts fixed monomials directly on their
+(level, field) index tuples.
 
 Two memos live for the process, and neither holds a series or a verdict:
 ``_FIXED_COUNTS`` holds, per weight, the number of monomials each of the six
@@ -31,8 +33,9 @@ permutations of the three fields fixes, made in one pass over the monomials
 of that weight; ``_EULER_ROWS`` holds the ``_euler_product`` row of each
 (D, order, strides).  Both are sound to keep: a count depends only on
 (permutation, weight), a row only on (D, order, strides), and both are
-immutable ints.  Every call still builds a fresh ``FracSeries``, so a
-caller may change the one it gets, and every check still compares.
+immutable ints.  Every character call still builds a fresh
+``FracSeries``, so a caller may change the one it gets, and every
+``burnside_check`` compares the rows again, with no series between them.
 """
 
 from __future__ import annotations
@@ -328,22 +331,30 @@ def character_terms(kind: str, weights=()) -> tuple:
 _EULER_ROWS: dict = {}
 
 
+def _euler_row(D: int, order, strides: tuple) -> tuple:
+    """The ``_euler_product`` row of (D, order, strides), read from
+    ``_EULER_ROWS`` and made on a miss."""
+    key = (D, order, strides)
+    row = _EULER_ROWS.get(key)
+    if row is None:
+        row = _EULER_ROWS[key] = tuple(_euler_product(*key))
+    return row
+
+
 def _character(divisor: int, terms, order) -> FracSeries:
     """The series of ``character_terms`` up to the order: one
     ``_euler_product`` row per term on the lattice of every step, one stride
     per step, read from ``_EULER_ROWS``; the terms summed in ints and divided
-    once, only when the divisor is not 1.  The terms share their offset (see
-    ``character_terms``)."""
+    once, to an int wherever the divisor divides the sum.  The terms share
+    their offset (see ``character_terms``)."""
     D = lcm(*(Fraction(s).denominator for _, _, steps in terms for s in steps))
     rows = []
     for mult, _, steps in terms:
-        key = (D, order, tuple(int(s * D) for s in steps))
-        row = _EULER_ROWS.get(key)
-        if row is None:
-            row = _EULER_ROWS[key] = tuple(_euler_product(*key))
+        row = _euler_row(D, order, tuple(int(s * D) for s in steps))
         rows.append(row if mult == 1 else [mult * c for c in row])
     offset = terms[0][1]
-    return FracSeries(D, offset, {k: t if divisor == 1 else Fraction(t, divisor)
+    return FracSeries(D, offset, {k: t // divisor if t % divisor == 0
+                                  else Fraction(t, divisor)
                                   for k, t in enumerate(map(sum, zip(*rows)))
                                   if t},
                       Fraction(order) + offset)
@@ -481,27 +492,33 @@ def burnside_check(which: str, series: FracSeries, order, weights=()) -> bool:
     """The verdict of ``h3orb char --check`` on the series ``character``
     gave for (which, order, weights), passed in and not recomputed.
 
-    Up to weight min(order, 6), the direct trace ``fock_trace_series`` of
-    each permutation of S3 must equal ``burnside_trace`` of its cycle type.
-    When every term of the character has a cycle type for its steps, the
-    series must also equal the direct traces class-averaged with the terms:
-    a direct trace holds q^(-|steps|/24), the term q^offset."""
+    Up to weight top = min(order, 6), the direct counts ``_fixed_counts`` of
+    each permutation of S3 must equal the ``_EULER_ROWS`` row of its cycle
+    type, the row ``burnside_trace`` is built from.  When every term of the
+    character has a cycle type for its steps, the series' coefficient at
+    each lattice index k = 0..top must also equal the counts of weight k
+    class-averaged with the terms: the series is ``character``'s, so its
+    lattice is 1/1 and index k is weight k above the terms' offset.  Only
+    ints and Fractions are compared; no series is built, and every call
+    compares again."""
     top = min(order, 6)
     ok = True
-    traces: dict = {}
-    for sigma in GROUPS["S3"]:
-        direct = fock_trace_series(sigma, top)
-        if direct != burnside_trace(sigma.cycle_type(), top):
+    counts = [_fixed_counts(w) for w in range(top + 1)]
+    rows: dict = {}
+    for index, sigma in enumerate(GROUPS["S3"]):
+        cycle_type = sigma.cycle_type()
+        direct = tuple(c[index] for c in counts)
+        if direct != _euler_row(1, top, cycle_type):
             ok = False
-        traces.setdefault(sigma.cycle_type(), []).append(direct)
+        rows.setdefault(cycle_type, []).append(direct)
     if which == "w-free":
         return ok
     divisor, terms = _named_terms(which, weights)
-    if all(steps in traces for _, _, steps in terms):
-        parts = [direct.scale(Fraction(mult, divisor * len(traces[steps])))
-                 .shift(offset + Fraction(sum(steps), 24))
-                 for mult, offset, steps in terms
-                 for direct in traces[steps]]
-        if series != sum(parts[1:], parts[0]):
-            ok = False
+    if all(steps in rows for _, _, steps in terms):
+        for k in range(top + 1):
+            average = sum(Fraction(mult * sum(row[k] for row in rows[steps]),
+                                   divisor * len(rows[steps]))
+                          for mult, _, steps in terms)
+            if series.coeffs.get(k, 0) != average:
+                ok = False
     return ok

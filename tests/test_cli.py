@@ -595,15 +595,11 @@ def test_char_at_the_largest_order_is_pinned(capsys, key):
 
 
 def test_char_check_fails_on_a_perturbed_trace(capsys, monkeypatch):
-    real = qseries.burnside_trace
-
-    def perturbed(cycle_type, order):
-        series = real(cycle_type, order)
-        if cycle_type == (2, 1):
-            series.coeffs[2] += 1
-        return series
-
-    monkeypatch.setattr(qseries, "burnside_trace", perturbed)
+    # the product row of the 2-cycles that the check reads at order 12
+    key = (1, 6, (2, 1))
+    row = list(qseries._euler_row(*key))
+    row[2] += 1
+    monkeypatch.setitem(qseries._EULER_ROWS, key, tuple(row))
     code, out = run_cli(capsys, "char", "--which=s3", "--order=12", "--check")
     assert code == 1
     assert "burnside cross-check: FAIL" in out

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -404,3 +406,69 @@ def test_character_of_each_char_name(which, weights, expected):
     series = character(which, 10, weights)
     assert series.to_json() == expected(10).to_json()
     assert burnside_check(which, series, 10, weights)
+
+
+def _series_burnside_check(which, series, order, weights=()):
+    """``burnside_check`` as it was written on series: fresh ``FracSeries``
+    traces compared with ``burnside_trace``, then shifted, scaled and summed
+    into the class average."""
+    top = min(order, 6)
+    ok = True
+    traces: dict = {}
+    for sigma in GROUPS["S3"]:
+        direct = fock_trace_series(sigma, top)
+        if direct != burnside_trace(sigma.cycle_type(), top):
+            ok = False
+        traces.setdefault(sigma.cycle_type(), []).append(direct)
+    if which == "w-free":
+        return ok
+    divisor, terms = qseries._named_terms(which, weights)
+    if all(steps in traces for _, _, steps in terms):
+        parts = [direct.scale(F(mult, divisor * len(traces[steps])))
+                 .shift(offset + F(sum(steps), 24))
+                 for mult, offset, steps in terms
+                 for direct in traces[steps]]
+        if series != sum(parts[1:], parts[0]):
+            ok = False
+    return ok
+
+
+def _benchmark_candidates():
+    """(which, weights) of every ``char --which``: the class sums, the
+    benchmark's highest-weight candidates and both paper types."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases = [(which, "") for which in ("s3", "z3", "sgn", "st", "vac")]
+    for which, candidates in (("fock", workloads.FOCK_WEIGHTS),
+                              ("theta", workloads.THETA_WEIGHTS),
+                              ("sigma", workloads.SIGMA_WEIGHTS),
+                              ("w-free", workloads.W_FREE_TYPES)):
+        cases += [(which, weights) for weights in candidates]
+    return [(which, tuple(F(w) for w in weights.split(",")) if weights else ())
+            for which, weights in cases]
+
+
+@pytest.mark.parametrize("which, weights", _benchmark_candidates(),
+                         ids=lambda v: ",".join(map(str, v))
+                         if isinstance(v, tuple) else v)
+def test_row_check_gives_the_verdicts_of_the_series_check(which, weights):
+    averaged = which in ("s3", "z3", "sgn", "st", "vac", "fock")
+    for order in (0, 1, 5, 6, 7, 12, 200):
+        series = character(which, order, weights)
+        assert burnside_check(which, series, order, weights)
+        assert _series_burnside_check(which, series, order, weights)
+        top = order * series.D
+        for k in sorted({0, 2 * series.D, 6 * series.D, 6 * series.D + 1,
+                         7 * series.D, top}):
+            if k > top:
+                continue
+            for delta in (1, -1):
+                perturbed = character(which, order, weights)
+                perturbed.coeffs[k] = perturbed.coeffs.get(k, 0) + delta
+                verdict = burnside_check(which, perturbed, order, weights)
+                assert verdict == _series_burnside_check(which, perturbed,
+                                                         order, weights)
+                # the class average reaches weight 6 on the lattice 1/1
+                assert verdict == (not averaged or k > 6), (order, k, delta)
