@@ -54,6 +54,15 @@ over single spreads gives:
 
 T^k / k! reads the same table with the modes of a monomial and E = k.
 
+The product memo is kept in rows: it maps (basis, u, n) to the dict
+{v: value of u_n v} of every stored product with that left monomial and
+mode, and a row is made together with its first entry, so none is empty.
+This changes only the keys: a lookup reads the row, then v, and a miss
+computes the product exactly as with one key (basis, u, n, v) per product,
+so the memo holds the same products with identical values.  A cold verify
+forms about six products per row, and one row key per (basis, u, n) is
+smaller than one 4-tuple key per product.
+
 Every product memo value and raise-table entry is one flat tuple
 (mon_1, c_1, mon_2, c_2, ...): the monomials in the order they are first
 met, each followed by its nonzero int coefficient; a zero product is the
@@ -94,7 +103,7 @@ from .fock import (_BETA_PAIR, ALPHA, BETA, FockState, Monomial, canonical,
                    monomial_weight)
 from .scalars import Scalar
 
-#: memo table for monomial-level products, keyed by (basis, u, n, v)
+#: product memo in rows: (basis, u, n) -> {v: the flat value of u_n v}
 _PRODUCT_CACHE: dict = {}
 
 #: raise table: (modes, excess) -> the merged spreads (``_raises``)
@@ -145,10 +154,12 @@ def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> tuple:
     the memo.  The terms are summed in a dict and stored flat, in its key
     order (see the module docstring).
     """
-    key = (basis, u, n, v)
-    hit = _PRODUCT_CACHE.get(key)
-    if hit is not None:
-        return hit
+    key = (basis, u, n)
+    row = _PRODUCT_CACHE.get(key)
+    if row is not None:
+        hit = row.get(v)
+        if hit is not None:
+            return hit
     result: dict = {}
     if n < monomial_weight(u) + monomial_weight(v):
         # each mode (m, f) of u stays free (None) or contracts a mode (l, g)
@@ -184,7 +195,11 @@ def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> tuple:
                     mon = (canonical(rest + raised) if rest and raised
                            else rest or raised)
                     result[mon] = result.get(mon, 0) + coeff * c
-    flat = _PRODUCT_CACHE[key] = _flat(result)
+    flat = _flat(result)
+    if row is None:  # a row is made with its first entry, so none is empty
+        _PRODUCT_CACHE[key] = {v: flat}
+    else:
+        row[v] = flat
     return flat
 
 

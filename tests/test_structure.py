@@ -195,6 +195,72 @@ def test_det_A_at_8_is_the_exception_to_its_factorisation():
     assert _det_A_factored(8) != 0
 
 
+#: Q(a), the quartic factor of ``_det_A_factored``, highest degree first,
+#: and the roots of its linear factors, with multiplicity
+DET_A_QUARTIC = [F(c) for c in (-106, 798, -1712, 75, 2520)]
+DET_A_LINEAR_ROOTS = (6, 4, 4, 3, 2, 1, -2)
+
+
+def _horner(poly, x):
+    out = F(0)
+    for c in poly:
+        out = out * x + c
+    return out
+
+
+def _sturm_sequence(poly):
+    """p_0 = poly, p_1 = poly', p_(i+1) = -(p_(i-1) mod p_i), exactly over
+    Fraction, until the remainder is zero; highest degree first."""
+    top = len(poly) - 1
+    seq = [poly, [c * (top - i) for i, c in enumerate(poly[:-1])]]
+    while True:
+        rem = list(seq[-2])
+        div = seq[-1]
+        while len(rem) >= len(div):
+            q = rem[0] / div[0]
+            rem = [r - q * d for r, d in zip(rem[1:], div[1:])] + rem[len(div):]
+        while rem and rem[0] == 0:
+            rem.pop(0)
+        if not rem:
+            return seq
+        seq.append([-c for c in rem])
+
+
+def _sign_changes(seq, x):
+    """Sign changes of the sequence at x; x = +-inf reads leading terms."""
+    if x in (inf, -inf):
+        signs = [p[0] * (1 if x > 0 or len(p) % 2 else -1) for p in seq]
+    else:
+        signs = [_horner(p, x) for p in seq]
+    signs = [s > 0 for s in signs if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def test_det_A_quartic_has_no_root_from_4_up_by_sturm():
+    """Sturm's theorem: for p(a) != 0, V(a) - V(b) distinct real roots of
+    p lie in (a, b].  Q has two, near -0.97 and 3.63, and none in [4, inf),
+    so the pinned factorisation is nonzero at every even a >= 10."""
+    seq = _sturm_sequence(DET_A_QUARTIC)
+    assert len(seq[-1]) == 1  # gcd(Q, Q') is a constant: no repeated root
+
+    def count(lo, hi):
+        return _sign_changes(seq, lo) - _sign_changes(seq, hi)
+
+    assert count(-inf, inf) == 2
+    assert count(F(-1), F(-9, 10)) == 1
+    assert count(F(18, 5), F(37, 10)) == 1
+    assert _horner(DET_A_QUARTIC, 4) != 0 and count(F(4), inf) == 0
+    # the helper is (128/3) prod (a - r) Q(a): both sides have degree 11,
+    # so agreeing at 12 points they are the same polynomial
+    for a in range(12):
+        linear = F(128, 3)
+        for r in DET_A_LINEAR_ROOTS:
+            linear *= a - r
+        assert _det_A_factored(a) == linear * _horner(DET_A_QUARTIC, a)
+    # so for a >= 10 every linear factor is positive and Q(a) != 0
+    assert max(DET_A_LINEAR_ROOTS) < 10
+    assert all(_det_A_factored(a) != 0 for a in range(10, 201, 2))
+
 def test_det_A_even_branch_has_the_quoted_singular_factors():
     """The determinant, as a polynomial over even arguments, is divisible by
     exactly the singular factors of the quoted closed form."""
@@ -310,8 +376,8 @@ def test_product_memo_holds_integers_after_a_span():
     clear_product_cache()
     span_dims(Z3_GENERATOR_IDS, 6, "Z3")
     assert _PRODUCT_CACHE
-    assert all(type(c) is int
-               for terms in _PRODUCT_CACHE.values() for c in terms[1::2])
+    assert all(type(c) is int for row in _PRODUCT_CACHE.values()
+               for terms in row.values() for c in terms[1::2])
 
 
 #: strong-span dims of the paper's generating sets; they equal the invariant
@@ -443,19 +509,25 @@ def test_span_dims_equal_the_rational_closure(family):
                             basis) == full
 
 
+def _memo_keys():
+    """The (basis, u, n, v) of every product in the memo's rows."""
+    from h3orbifold.vertex import _PRODUCT_CACHE
+    return {(*key, v) for key, row in _PRODUCT_CACHE.items() for v in row}
+
+
 def test_span_forms_the_same_products_as_the_rational_closure():
     # the memo holds exactly the monomial products asked for; with a room
     # that never fills, _close forms every mode of every generator on every
     # accepted vector, and so asks for the same ones as the rational,
     # monomial-keyed closure of the whole Z3 set at weight 10
-    from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
+    from h3orbifold.vertex import clear_product_cache
     clear_product_cache()
     states = [build_generator(g) for g in Z3_GENERATOR_IDS]
     structure._close(states, [0] * len(states), _open_room(10), 10, BETA)
-    formed = set(_PRODUCT_CACHE)
+    formed = _memo_keys()
     clear_product_cache()
     _reference_close(states, 10, BETA)
-    assert set(_PRODUCT_CACHE) == formed
+    assert _memo_keys() == formed
     assert len(formed) == 5476
 
 
@@ -464,10 +536,10 @@ def test_span_in_the_rank2_factor_forms_fewer_products():
     # where the ordered pairs fill every charge block and no other is
     # formed, and no product of negative charge: those blocks are mirror
     # images (461 products before the mirror)
-    from h3orbifold.vertex import _PRODUCT_CACHE, clear_product_cache
+    from h3orbifold.vertex import clear_product_cache
     clear_product_cache()
     span_dims(Z3_GENERATOR_IDS, 10, "Z3")
-    assert len(_PRODUCT_CACHE) == 333
+    assert len(_memo_keys()) == 333
 
 
 def _unreduced_dims(gens, max_weight):

@@ -205,6 +205,12 @@ def _pairs(flat):
     return list(zip(flat[::2], flat[1::2]))
 
 
+def _memo_entries():
+    """The product memo with its rows flattened: {(basis, u, n, v): value}."""
+    return {(*key, v): flat for key, row in vertex._PRODUCT_CACHE.items()
+            for v, flat in row.items()}
+
+
 def _as_dict(flat):
     """A flat memo value as a dict, checking that no monomial repeats."""
     pairs = _pairs(flat)
@@ -415,7 +421,7 @@ def test_memos_hold_one_object_per_monomial_and_mode_until_cleared():
     vertex.clear_product_cache()
     for case in _kernel_cases(34, 300):
         _monomial_product(*case)
-    stored = [mon for terms in vertex._PRODUCT_CACHE.values() for mon in terms[::2]]
+    stored = [mon for terms in _memo_entries().values() for mon in terms[::2]]
     stored += [mon for entry in vertex._RAISE_CACHE.values() for mon in entry[::2]]
     monomials, modes = {}, {}
     for mon in stored:
@@ -437,7 +443,8 @@ def test_memo_values_are_flat_tuples_of_interned_monomials_and_nonzero_ints():
     cases = _kernel_cases(35, 600)
     for case in cases:
         _monomial_product(*case)
-    for table in (vertex._PRODUCT_CACHE, vertex._RAISE_CACHE):
+    memo = _memo_entries()
+    for table in (memo, vertex._RAISE_CACHE):
         assert table
         for key, flat in table.items():
             assert type(flat) is tuple and len(flat) % 2 == 0, key
@@ -448,7 +455,36 @@ def test_memo_values_are_flat_tuples_of_interned_monomials_and_nonzero_ints():
     # a zero product, in the oracle's terms, is stored as the empty tuple
     zero = [case for case in cases if not _old_monomial_product(*case)]
     assert len(zero) > 100
-    assert all(vertex._PRODUCT_CACHE[case] == () for case in zero)
+    assert all(memo[case] == () for case in zero)
+
+
+def test_memo_rows_hold_exactly_the_products_formed(monkeypatch):
+    # every product goes through _monomial_product; the rows, flattened,
+    # hold exactly the (basis, u, n, v) it was called with and the very
+    # objects it returned, and no row is empty
+    calls = {}
+    kernel = vertex._monomial_product
+
+    def recorded(basis, u, n, v):
+        flat = kernel(basis, u, n, v)
+        assert calls.setdefault((basis, u, n, v), flat) is flat
+        return flat
+
+    monkeypatch.setattr(vertex, "_monomial_product", recorded)
+    vertex.clear_product_cache()
+    rng = random.Random(16)
+    for trial in range(30):
+        basis = (ALPHA, BETA)[trial % 2]
+        u, v, w = (_residual_states(rng, basis) for _ in range(3))
+        check_skew_symmetry(u, v, rng.randint(-2, 2))
+        check_borcherds(u, v, w, *(rng.randint(-2, 2) for _ in range(3)))
+    memo = _memo_entries()
+    assert set(memo) == set(calls)
+    assert all(memo[key] is flat for key, flat in calls.items())
+    assert all(vertex._PRODUCT_CACHE.values())
+    # rows are shared: fewer rows than products, in both bases
+    assert len(vertex._PRODUCT_CACHE) < len(memo)
+    assert {key[0] for key in vertex._PRODUCT_CACHE} == {ALPHA, BETA}
 
 
 def test_wick_kernel_contracts_repeated_modes_both_ways():
