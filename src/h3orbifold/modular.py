@@ -53,22 +53,17 @@ def eta(tau: complex, tol: float = DEFAULT_TOL) -> complex:
     raise OverflowError(f"eta product needs more than {MAX_ETA_FACTORS} factors")
 
 
-class IdentityReport:
-    """One identity at one tau; ``quadrature_rel_err`` is set afterwards
-    when the Gaussian integral is also checked by quadrature."""
+class IdentityReport(NamedTuple):
+    """One identity at one tau; ``quadrature_rel_err`` is None unless the
+    Gaussian integral is also checked by quadrature."""
 
-    __slots__ = ("identity", "tau", "lhs", "rhs", "rel_err", "passed",
-                 "quadrature_rel_err")
-
-    def __init__(self, identity: str, tau: complex, lhs: complex, rhs: complex,
-                 rel_err: float, passed: bool):
-        self.identity = identity
-        self.tau = tau
-        self.lhs = lhs
-        self.rhs = rhs
-        self.rel_err = rel_err
-        self.passed = passed
-        self.quadrature_rel_err: float | None = None
+    identity: str
+    tau: complex
+    lhs: complex
+    rhs: complex
+    rel_err: float
+    passed: bool
+    quadrature_rel_err: float | None = None
 
     def to_json(self) -> dict:
         return {
@@ -143,11 +138,12 @@ def _gauss_identity(line, tau, t, tol, quadrature) -> IdentityReport:
     rhs = (math.sqrt(math.prod(cycles)) * _gauss_value(t, dims)
            / math.prod(eta(tau / c, tol) for c in cycles))
     rel = abs(lhs - rhs) / abs(lhs)
-    report = IdentityReport(f"gauss-eta-{line}", tau, lhs, rhs, rel, rel <= tol)
+    quad_rel = None
     if quadrature:
         quad = _gauss_quadrature(t, dims)
-        report.quadrature_rel_err = abs(quad - _gauss_value(t, dims)) / quad
-    return report
+        quad_rel = abs(quad - _gauss_value(t, dims)) / quad
+    return IdentityReport(f"gauss-eta-{line}", tau, lhs, rhs, rel, rel <= tol,
+                          quad_rel)
 
 
 # -- closed-form character values --------------------------------------------

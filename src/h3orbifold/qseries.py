@@ -27,20 +27,23 @@ output does not depend on which one a series holds.  The Burnside oracle
 ``fock_trace_series`` counts fixed monomials directly on their
 (level, field) index tuples.
 
-Two memos live for the process, and neither holds a series or a verdict:
-``_FIXED_COUNTS`` holds, per weight, the number of monomials each of the six
-permutations of the three fields fixes, made in one pass over the monomials
-of that weight; ``_EULER_ROWS`` holds the ``_euler_product`` row of each
-(D, order, strides).  Both are sound to keep: a count depends only on
-(permutation, weight), a row only on (D, order, strides), and both are
-immutable ints.  Every character call still builds a fresh
-``FracSeries``, so a caller may change the one it gets, and every
-``burnside_check`` compares the rows again, with no series between them.
+Two functions memoise their results for the process (``lru_cache``), and
+neither holds a series or a verdict: ``_euler_product`` keeps the row of each
+(D, order, strides, factors) as a tuple of ints, and ``_fixed_counts`` keeps,
+per weight, the number of monomials each of the six permutations of the
+three fields fixes, made in one pass over the monomials of that weight.
+Both are sound to keep: a row depends only on the value of its arguments
+and a count only on (permutation, weight), both are immutable, and equal
+``int`` and ``Fraction`` orders hash alike, so they share one entry.  Every
+character call still builds a fresh ``FracSeries``, so a caller may change
+the one it gets, and every ``burnside_check`` compares the rows again, with
+no series between them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, lcm
 
 from .fock import enumerate_basis
@@ -210,11 +213,14 @@ def _pentagonal_exponents(top: int) -> tuple:
     return minus, plus
 
 
-def _euler_product(D: int, order, strides, factors=()) -> list:
+@lru_cache(maxsize=None)
+def _euler_product(D: int, order, strides: tuple, factors: tuple = ()) -> tuple:
     """The coefficients of x^k, x = q^(1/D), k = 0, 1, ..., top = order*D, of
     prod_{p in strides} prod_{n>=1} (1 - x^(p n))^(-1) times
     prod_{m in factors} (1 - x^m), for positive integer strides and factors,
-    on Python ints.
+    as a tuple of Python ints, kept for the process (see the module
+    docstring): strides and factors must be hashable, and a caller shares
+    the one immutable row of its arguments.
 
     Each stride p is one division by E(x^p), E the pentagonal series of
     ``_pentagonal_exponents``: for k ascending, in place,
@@ -251,7 +257,7 @@ def _euler_product(D: int, order, strides, factors=()) -> list:
     for m in factors:
         for k in range(top, m - 1, -1):
             coeffs[k] -= coeffs[k - m]
-    return coeffs
+    return tuple(coeffs)
 
 
 def twist_weight(p: int, r) -> Fraction:
@@ -326,31 +332,16 @@ def character_terms(kind: str, weights=()) -> tuple:
     return 1, ((1, offset, steps),)
 
 
-#: (D, order, strides) -> the ``_euler_product`` row of one character
-#: term, a tuple of ints, kept for the process (see the module docstring)
-_EULER_ROWS: dict = {}
-
-
-def _euler_row(D: int, order, strides: tuple) -> tuple:
-    """The ``_euler_product`` row of (D, order, strides), read from
-    ``_EULER_ROWS`` and made on a miss."""
-    key = (D, order, strides)
-    row = _EULER_ROWS.get(key)
-    if row is None:
-        row = _EULER_ROWS[key] = tuple(_euler_product(*key))
-    return row
-
-
 def _character(divisor: int, terms, order) -> FracSeries:
-    """The series of ``character_terms`` up to the order: one
+    """The series of ``character_terms`` up to the order: one memoised
     ``_euler_product`` row per term on the lattice of every step, one stride
-    per step, read from ``_EULER_ROWS``; the terms summed in ints and divided
-    once, to an int wherever the divisor divides the sum.  The terms share
-    their offset (see ``character_terms``)."""
+    per step; the terms summed in ints and divided once, to an int wherever
+    the divisor divides the sum.  The terms share their offset (see
+    ``character_terms``)."""
     D = lcm(*(Fraction(s).denominator for _, _, steps in terms for s in steps))
     rows = []
     for mult, _, steps in terms:
-        row = _euler_row(D, order, tuple(int(s * D) for s in steps))
+        row = _euler_product(D, order, tuple(int(s * D) for s in steps))
         rows.append(row if mult == 1 else [mult * c for c in row])
     offset = terms[0][1]
     return FracSeries(D, offset, {k: t // divisor if t % divisor == 0
@@ -398,10 +389,10 @@ def module_character(kind: str, order=DEFAULT_ORDER, weights=()) -> FracSeries:
 def w_algebra_free_character(gen_weights, order=DEFAULT_ORDER) -> FracSeries:
     """Graded dimensions of a freely generated algebra with one generator per
     listed weight: prod_w prod_{m>=w} (1-q^m)^(-1), each factor expanded as
-    E(q)^(-1) prod_{1<=m<w} (1-q^m) (see ``_euler_product``).  A weight above
-    the order contributes 1.  More than MAX_FREE_WEIGHTS weights, or a
-    weight that is not a positive integer, raises ValueError before any
-    product."""
+    E(q)^(-1) prod_{1<=m<w} (1-q^m): one memoised ``_euler_product`` row
+    for all the weights.  A weight above the order contributes 1.  More
+    than MAX_FREE_WEIGHTS weights, or a weight that is not a positive
+    integer, raises ValueError before any product."""
     weights = [Fraction(w) for w in gen_weights]
     if len(weights) > MAX_FREE_WEIGHTS:
         raise ValueError(f"at most {MAX_FREE_WEIGHTS} generator weights, "
@@ -410,33 +401,27 @@ def w_algebra_free_character(gen_weights, order=DEFAULT_ORDER) -> FracSeries:
         raise ValueError("generator weights must be positive integers, got "
                          + ", ".join(map(str, weights)))
     kept = [int(w) for w in weights if w <= order]
-    coeffs = _euler_product(1, order, [1] * len(kept),
-                            [m for w in kept for m in range(1, w)])
+    coeffs = _euler_product(1, order, (1,) * len(kept),
+                            tuple(m for w in kept for m in range(1, w)))
     return FracSeries(1, 0, dict(enumerate(coeffs)), order)
 
 
-#: weight -> the number of weight-w creation monomials fixed by each of
-#: ``GROUPS["S3"]``, a tuple of ints in that order, kept for the process
-#: (see the module docstring)
-_FIXED_COUNTS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _fixed_counts(weight: int) -> tuple:
-    """The entry of ``_FIXED_COUNTS`` for the weight, filled by one pass over
-    the monomials that tests each against all six permutations."""
-    counts = _FIXED_COUNTS.get(weight)
-    if counts is None:
-        perms = [sigma.images for sigma in GROUPS["S3"]]
-        tally = [0] * len(perms)
-        for mon in enumerate_basis(3, weight):
-            # canonical order is level descending, field ascending
-            key = [(-level, field) for level, field in mon]
-            for i, images in enumerate(perms):
-                if sorted((-level, images[field - 1])
-                          for level, field in mon) == key:
-                    tally[i] += 1
-        counts = _FIXED_COUNTS[weight] = tuple(tally)
-    return counts
+    """The number of creation monomials of the weight fixed by each of
+    ``GROUPS["S3"]``, a tuple of ints in that order, kept for the process
+    (see the module docstring); made by one pass over the monomials that
+    tests each against all six permutations."""
+    perms = [sigma.images for sigma in GROUPS["S3"]]
+    tally = [0] * len(perms)
+    for mon in enumerate_basis(3, weight):
+        # canonical order is level descending, field ascending
+        key = [(-level, field) for level, field in mon]
+        for i, images in enumerate(perms):
+            if sorted((-level, images[field - 1])
+                      for level, field in mon) == key:
+                tally[i] += 1
+    return tuple(tally)
 
 
 def fock_trace_series(sigma, max_weight: int) -> FracSeries:
@@ -448,7 +433,7 @@ def fock_trace_series(sigma, max_weight: int) -> FracSeries:
     pairs in canonical order, and it is fixed when its image under
     ``sigma.images`` re-sorts to the monomial itself.  The counts of a
     weight are made once per process for all six permutations
-    (``_FIXED_COUNTS``); every call builds a fresh series of int
+    (``_fixed_counts``); every call builds a fresh series of int
     coefficients from them.  A permutation of size other than 3 raises
     ValueError."""
     if len(sigma.images) != 3:
@@ -493,14 +478,14 @@ def burnside_check(which: str, series: FracSeries, order, weights=()) -> bool:
     gave for (which, order, weights), passed in and not recomputed.
 
     Up to weight top = min(order, 6), the direct counts ``_fixed_counts`` of
-    each permutation of S3 must equal the ``_EULER_ROWS`` row of its cycle
-    type, the row ``burnside_trace`` is built from.  When every term of the
-    character has a cycle type for its steps, the series' coefficient at
-    each lattice index k = 0..top must also equal the counts of weight k
-    class-averaged with the terms: the series is ``character``'s, so its
-    lattice is 1/1 and index k is weight k above the terms' offset.  Only
-    ints and Fractions are compared; no series is built, and every call
-    compares again."""
+    each permutation of S3 must equal the ``_euler_product`` row of its
+    cycle type, the row ``burnside_trace`` is built from; both are read
+    from their memos.  When every term of the character has a cycle type
+    for its steps, the series' coefficient at each lattice index
+    k = 0..top must also equal the counts of weight k class-averaged with
+    the terms: the series is ``character``'s, so its lattice is 1/1 and
+    index k is weight k above the terms' offset.  Only ints and Fractions
+    are compared; no series is built, and every call compares again."""
     top = min(order, 6)
     ok = True
     counts = [_fixed_counts(w) for w in range(top + 1)]
@@ -508,7 +493,7 @@ def burnside_check(which: str, series: FracSeries, order, weights=()) -> bool:
     for index, sigma in enumerate(GROUPS["S3"]):
         cycle_type = sigma.cycle_type()
         direct = tuple(c[index] for c in counts)
-        if direct != _euler_row(1, top, cycle_type):
+        if direct != _euler_product(1, top, cycle_type):
             ok = False
         rows.setdefault(cycle_type, []).append(direct)
     if which == "w-free":

@@ -517,10 +517,10 @@ def _with_free_boson(dims: dict, remove: bool = False) -> dict:
     """The graded dims of H(1) (x) C' from those of C' (``dims``): dims
     times prod_{n>=1} (1 - q^n)^(-1), whose coefficients are the partition
     numbers p(k).  With ``remove``, the inverse: dims times Euler's
-    pentagonal series prod_{n>=1} (1 - q^n).  Both rows are those of
-    ``qseries._euler_product``."""
+    pentagonal series prod_{n>=1} (1 - q^n).  Both rows are the memoised
+    rows of ``qseries._euler_product``."""
     top = len(dims) - 1
-    row = (_euler_product(1, top, (), range(1, top + 1)) if remove
+    row = (_euler_product(1, top, (), tuple(range(1, top + 1))) if remove
            else _euler_product(1, top, (1,)))
     return {w: sum(row[k] * dims[w - k] for k in range(w + 1)) for w in dims}
 

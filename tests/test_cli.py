@@ -596,10 +596,16 @@ def test_char_at_the_largest_order_is_pinned(capsys, key):
 
 def test_char_check_fails_on_a_perturbed_trace(capsys, monkeypatch):
     # the product row of the 2-cycles that the check reads at order 12
-    key = (1, 6, (2, 1))
-    row = list(qseries._euler_row(*key))
-    row[2] += 1
-    monkeypatch.setitem(qseries._EULER_ROWS, key, tuple(row))
+    real = qseries._euler_product
+    real.cache_clear()
+
+    def perturbed(*args):
+        row = real(*args)
+        if args == (1, 6, (2, 1)):
+            row = row[:2] + (row[2] + 1,) + row[3:]
+        return row
+
+    monkeypatch.setattr(qseries, "_euler_product", perturbed)
     code, out = run_cli(capsys, "char", "--which=s3", "--order=12", "--check")
     assert code == 1
     assert "burnside cross-check: FAIL" in out
@@ -611,9 +617,17 @@ def test_char_check_fails_on_a_perturbed_trace(capsys, monkeypatch):
 
 
 def test_char_check_fails_on_a_perturbed_fixed_count(capsys, monkeypatch):
-    counts = list(qseries._fixed_counts(2))
-    counts[GROUPS["S3"].index(Permutation((2, 1, 3)))] += 1
-    monkeypatch.setitem(qseries._FIXED_COUNTS, 2, tuple(counts))
+    real = qseries._fixed_counts
+    real.cache_clear()
+    index = GROUPS["S3"].index(Permutation((2, 1, 3)))
+
+    def perturbed(weight):
+        counts = real(weight)
+        if weight == 2:
+            counts = counts[:index] + (counts[index] + 1,) + counts[index + 1:]
+        return counts
+
+    monkeypatch.setattr(qseries, "_fixed_counts", perturbed)
     code, out = run_cli(capsys, "char", "--which=s3", "--order=12", "--check",
                         "--format=json")
     assert code == 1
@@ -628,7 +642,7 @@ def test_two_char_checks_enumerate_each_fock_weight_once(capsys, monkeypatch):
         weights.append((rank, weight))
         return real(rank, weight)
 
-    monkeypatch.setattr(qseries, "_FIXED_COUNTS", {})
+    qseries._fixed_counts.cache_clear()
     monkeypatch.setattr(qseries, "enumerate_basis", counted)
     for which in ("s3", "fock"):
         code, out = run_cli(capsys, "char", f"--which={which}", "--order=12",

@@ -97,9 +97,9 @@ def _per_permutation_trace_series(sigma, max_weight):
 
 
 @pytest.mark.parametrize("memo", ["cold", "warm"])
-def test_memoised_oracle_equals_the_per_permutation_loop(monkeypatch, memo):
+def test_memoised_oracle_equals_the_per_permutation_loop(memo):
     if memo == "cold":
-        monkeypatch.setattr(qseries, "_FIXED_COUNTS", {})
+        qseries._fixed_counts.cache_clear()
     else:
         fock_trace_series(GROUPS["S3"][0], 8)
     assert len(GROUPS["S3"]) == 6
@@ -110,8 +110,12 @@ def test_memoised_oracle_equals_the_per_permutation_loop(monkeypatch, memo):
             assert direct == expected, (sigma.images, w)
             assert direct.to_json() == expected.to_json()
             assert all(type(c) is int for c in direct.coeffs.values())
-    assert all(type(c) is int for counts in qseries._FIXED_COUNTS.values()
-               for c in counts)
+    # the memo keeps one immutable row of six ints per weight
+    for w in range(9):
+        counts = qseries._fixed_counts(w)
+        assert type(counts) is tuple and len(counts) == 6
+        assert all(type(c) is int for c in counts)
+        assert qseries._fixed_counts(w) is counts
 
 
 def test_mutating_an_oracle_series_leaves_the_next_call_unchanged():
@@ -141,29 +145,40 @@ _ROW_CHARACTERS = [
 
 
 def test_characters_are_the_same_with_a_cold_and_a_warm_row_memo(monkeypatch):
+    real = qseries._euler_product
     cold = []
     for character in _ROW_CHARACTERS:
         for order in (0, 7, 30):
-            monkeypatch.setattr(qseries, "_EULER_ROWS", {})
+            real.cache_clear()
             cold.append(character(order).to_json())
-    monkeypatch.setattr(qseries, "_EULER_ROWS", {})
+    real.cache_clear()
+    made = []
+
+    def recorded(*args):
+        row = real(*args)
+        made.append((args, row))
+        return row
+
+    monkeypatch.setattr(qseries, "_euler_product", recorded)
     for _ in range(2):
         warm = [character(order).to_json()
                 for character in _ROW_CHARACTERS for order in (0, 7, 30)]
         assert warm == cold
-    # the memo holds immutable rows of ints, one per (D, order, strides)
-    rows = qseries._EULER_ROWS
-    assert rows and all(type(row) is tuple for row in rows.values())
-    assert all(type(c) is int for row in rows.values() for c in row)
-    assert all(len(row) == order * D + 1
-               for (D, order, _), row in rows.items())
+    # the memo keeps immutable rows of ints, one per (D, order, strides)
+    assert made
+    for (D, order, strides), row in made:
+        assert type(row) is tuple and all(type(c) is int for c in row)
+        assert len(row) == order * D + 1
+        assert real(D, order, strides) is row
+    assert real.cache_info().currsize == len({args for args, _ in made})
 
 
 @pytest.mark.parametrize("character", [
     lambda: orbifold_character("S3", 12),
     lambda: orbifold_character("Z3", 12),
     lambda: module_character("fock", 12, (F(1, 2), F(1, 3), F(1, 4))),
-], ids=["s3", "z3", "fock"])
+    lambda: w_algebra_free_character((1, 2, 3, 4, 5, 6, 6), 12),
+], ids=["s3", "z3", "fock", "w-free"])
 def test_mutating_a_character_leaves_the_next_call_unchanged(character):
     series = character()
     expected = series.to_json()
@@ -302,8 +317,8 @@ def test_euler_product_equals_the_per_part_recurrence(D, strides, order):
     # the steps k/D; their parts k n on the lattice 1/D, up to the order
     top = order * D
     parts = [k * n for k in strides for n in range(1, top // k + 1)]
-    assert _euler_product(D, order, strides) == _per_part_product(D, order,
-                                                                  parts)
+    assert _euler_product(D, order, tuple(strides)) == tuple(
+        _per_part_product(D, order, parts))
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,6 +368,28 @@ def test_free_type_character_mismatch_exponents():
     assert orb.first_difference(wf) == 9
     wf9 = wf - wf.shift(9)
     assert orb.first_difference(wf9) == 10
+
+
+def test_cyclic_free_type_character_mismatch_exponent():
+    # the Z3 analogue of criterion 5: the free character of the cyclic
+    # generating type first exceeds the Z3 orbifold's at q^6, by the one
+    # weight-6 relation among those generators
+    wf = w_algebra_free_character([1, 2, 3, 3, 3, 4, 5, 5, 5], 12)
+    orb = orbifold_character("Z3", 12).shift(F(1, 8))
+    assert orb.first_difference(wf) == 6
+    assert (wf.coefficient(6), orb.coefficient(6)) == (76, 75)
+
+
+@pytest.mark.parametrize("weights", [(1, 2, 3, 4, 5, 6, 6),
+                                     (1, 2, 3, 3, 3, 4, 5, 5, 5)],
+                         ids=["s3", "z3"])
+def test_a_second_free_type_character_reads_its_row_from_the_memo(weights):
+    _euler_product.cache_clear()
+    first = w_algebra_free_character(weights, 200)
+    assert _euler_product.cache_info().misses == 1
+    second = w_algebra_free_character(weights, 200)
+    assert _euler_product.cache_info()[:2] == (1, 1)   # (hits, misses)
+    assert second is not first and second.to_json() == first.to_json()
 
 
 @pytest.mark.parametrize("weights", [[0], [-1], [1, 0], [F(1, 2)], [2, F(-3)]],

@@ -542,6 +542,17 @@ def test_span_in_the_rank2_factor_forms_fewer_products():
     assert len(_memo_keys()) == 333
 
 
+def test_a_second_rank2_span_reads_its_euler_rows_from_the_memo():
+    # the two rows of the Z3 targets and the two of ``_with_free_boson``
+    from h3orbifold.qseries import _euler_product
+    _euler_product.cache_clear()
+    first = span_dims(Z3_GENERATOR_IDS, 8, "Z3")
+    assert _euler_product.cache_info()[:2] == (0, 4)   # (hits, misses)
+    second = span_dims(Z3_GENERATOR_IDS, 8, "Z3")
+    assert _euler_product.cache_info()[:2] == (4, 4)
+    assert second == first and first.all_matched
+
+
 def _unreduced_dims(gens, max_weight):
     """The ranks of the closure in H(3), with a room that never fills."""
     states = [build_generator(g) for g in gens]
