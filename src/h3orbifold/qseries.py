@@ -46,8 +46,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor, lcm
 
-from .fock import enumerate_basis
-from .symmetry import GROUPS
+from .fock import ALPHA, enumerate_basis
+from .symmetry import GROUPS, _action_table, _moved
 
 DEFAULT_ORDER = 12
 #: largest truncation order the CLI accepts (``dims --max-weight``,
@@ -411,15 +411,12 @@ def _fixed_counts(weight: int) -> tuple:
     """The number of creation monomials of the weight fixed by each of
     ``GROUPS["S3"]``, a tuple of ints in that order, kept for the process
     (see the module docstring); made by one pass over the monomials that
-    tests each against all six permutations."""
-    perms = [sigma.images for sigma in GROUPS["S3"]]
-    tally = [0] * len(perms)
+    relabels each by all six ``a``-basis action tables (``_moved``)."""
+    tables = [_action_table(sigma.images, ALPHA) for sigma in GROUPS["S3"]]
+    tally = [0] * len(tables)
     for mon in enumerate_basis(3, weight):
-        # canonical order is level descending, field ascending
-        key = [(-level, field) for level, field in mon]
-        for i, images in enumerate(perms):
-            if sorted((-level, images[field - 1])
-                      for level, field in mon) == key:
+        for i, table in enumerate(tables):
+            if _moved(table, mon)[0] == mon:
                 tally[i] += 1
     return tuple(tally)
 
@@ -431,10 +428,10 @@ def fock_trace_series(sigma, max_weight: int) -> FracSeries:
     The independent oracle for ``burnside_trace``: it counts every monomial
     and uses no product formula.  A monomial is a tuple of (level, field)
     pairs in canonical order, and it is fixed when its image under
-    ``sigma.images`` re-sorts to the monomial itself.  The counts of a
-    weight are made once per process for all six permutations
-    (``_fixed_counts``); every call builds a fresh series of int
-    coefficients from them.  A permutation of size other than 3 raises
+    ``sigma.images``, relabelled and re-sorted by ``symmetry._moved``, is
+    the monomial itself.  The counts of a weight are made once per process
+    for all six permutations (``_fixed_counts``); every call builds a fresh
+    series of int coefficients from them.  A permutation of size other than 3 raises
     ValueError."""
     if len(sigma.images) != 3:
         raise ValueError(f"permutation of size {len(sigma.images)} on rank 3")

@@ -11,11 +11,11 @@ from math import lcm
 from typing import NamedTuple
 
 from .classical import RELATION_TERMS, relation_arity
-from .fock import BETA, FockState, canonical
+from .fock import BETA, FockState
 from .linalg import Echelon, SolverBasis, _integral, _primitive, det_bareiss
 from .qseries import ORBIFOLD_GROUPS, _euler_product, orbifold_character
-from .symmetry import (GROUPS, GeneratorId, _action_table, build_generator,
-                       gen, is_invariant)
+from .symmetry import (GROUPS, GeneratorId, _action_table, _moved,
+                       build_generator, gen, is_invariant)
 from .vertex import (_accumulate, _add_into, _divided_power, _product,
                      _scaled, _shared, _unscaled)
 
@@ -295,15 +295,10 @@ def _label(mon, max_weight: int) -> int:
     return -(code << width * (max_weight - len(mon)))
 
 
-def _permuted(mon, fields: tuple):
-    """The monomial with each field f replaced by fields[f - 1], in
-    canonical order."""
-    return canonical([(level, fields[f - 1]) for level, f in mon])
-
-
 class _Labels(dict):
     """Memo monomial -> ``_label(monomial, max_weight)``, or None for a
-    monomial that is not <= its image under each field map of ``orbit``."""
+    monomial that is not <= its image (``symmetry._moved``) under each
+    action table of ``orbit``."""
 
     def __init__(self, max_weight: int, orbit: tuple):
         super().__init__()
@@ -311,7 +306,7 @@ class _Labels(dict):
         self.orbit = orbit
 
     def __missing__(self, mon):
-        least = all(_permuted(mon, fields) >= mon for fields in self.orbit)
+        least = all(_moved(table, mon)[0] >= mon for table in self.orbit)
         code = self[mon] = _label(mon, self.max_weight) if least else None
         return code
 
@@ -351,10 +346,11 @@ def _close(states, charges, room: dict, max_weight: int, basis: str,
     a product is skipped unformed.  So the closure accepts the same rows in
     the same order and gives the same ranks as with rooms that never fill.
 
-    ``orbit`` holds field maps p, each of a group element that maps every
-    monomial m to the monomial p(m) (``_permuted``) with coefficient 1, and
-    that, with the identity, form a group H; the caller has checked that
-    every state is H-invariant.  Then so is every vector formed, as H acts
+    ``orbit`` holds action tables p (``symmetry._action_table``), each of a
+    group element that maps every monomial m to the monomial p(m)
+    (``symmetry._moved``) with coefficient 1, and that, with the identity,
+    form a group H; the caller has checked that every state is
+    H-invariant.  Then so is every vector formed, as H acts
     by automorphisms, and an invariant vector v = sum c_m m has
     c_(p(m)) = c_m: it is constant on each H-orbit of monomials.  Keeping
     only the coordinate of each orbit's least monomial, the one <= all its
@@ -362,13 +358,13 @@ def _close(states, charges, room: dict, max_weight: int, basis: str,
     (Sturmfels, *Algorithms in Invariant Theory*, ch. 2), so it changes no
     rank and no insert's verdict.  ``_Labels`` gives the other monomials
     the label None, which is dropped from each echelon row; the accepted
-    vectors keep all their terms for later products.  With no orbit maps
+    vectors keep all their terms for later products.  With no orbit tables
     no label is None.
 
-    ``mirror`` is None or the field map of an automorphism tau that maps
-    every monomial to one monomial with coefficient 1 and the charge q to
-    -q.  The caller turns it on only when, for every state s, tau(s) lies
-    in the span of the T^j s' / j! over the states s' with
+    ``mirror`` is None or the action table of an automorphism tau that maps
+    every monomial to one monomial with coefficient 1 (``symmetry._moved``)
+    and the charge q to -q.  The caller turns it on only when, for every
+    state s, tau(s) lies in the span of the T^j s' / j! over the states s' with
     j = wt(s) - wt(s') >= 0.  Then tau(s)_n, n <= -1, is a combination of
     the (T^j s' / j!)_n = (-1)^j C(n, j) s'_(n-j), negative modes of the
     states, so tau maps every s_n1 ... s_nk |0> into the span C, and, being
@@ -442,7 +438,7 @@ def _close(states, charges, room: dict, max_weight: int, basis: str,
             images = [(x, q, i, n) for x, _, q, i, n in accepted[fresh:] if q > 0]
             ranks[w] += len(images)
             if w + reach <= max_weight:   # else no later candidate reads them
-                accepted += [({_shared(_permuted(mon, mirror)): c
+                accepted += [({_shared(_moved(mirror, mon)[0]): c
                                for mon, c in x.items()}, w, -q, i, n)
                              for x, q, i, n in images]
     return ranks
@@ -526,24 +522,20 @@ def _with_free_boson(dims: dict, remove: bool = False) -> dict:
 
 
 def _orbit_maps(group: str, basis: str) -> tuple:
-    """The field maps of the elements of the group that permute the
-    monomials of the basis with coefficient 1 (every exponent of their
-    ``_action_table`` is 0) and move a field: every S3 element in the ``a``
+    """The ``_action_table`` of each element of the group that permutes the
+    monomials of the basis with coefficient 1 (every exponent of its table
+    is 0) and is not the identity: every other S3 element in the ``a``
     basis, the transposition that fixes field 1 in the ``b`` basis, none of
     Z3 there (``_close``'s ``orbit``)."""
-    maps = []
-    for sigma in GROUPS[group]:
-        table = _action_table(sigma.images, basis)
-        fields = tuple(h for h, _ in table)
-        if not any(k for _, k in table) and fields != tuple(sorted(fields)):
-            maps.append(fields)
-    return tuple(maps)
+    tables = (_action_table(sigma.images, basis) for sigma in GROUPS[group]
+              if sigma.images != (1, 2, 3))
+    return tuple(t for t in tables if not any(k for _, k in t))
 
 
 def _charge_mirror(states) -> tuple:
-    """The field map of tau, the one S3 element that permutes ``b``-basis
-    monomials with coefficient 1 and moves a field (it fixes field 1 and is
-    not in Z3), if for every state s tau(s) lies in the span of the
+    """The action table of tau, the one S3 element other than the identity
+    that permutes ``b``-basis monomials with coefficient 1 (it fixes field 1
+    and is not in Z3), if for every state s tau(s) lies in the span of the
     T^j s' / j! over the states s' with j = wt(s) - wt(s') >= 0; else None
     (``_close``'s ``mirror``)."""
     (tau,) = _orbit_maps("S3", BETA)
@@ -553,7 +545,7 @@ def _charge_mirror(states) -> tuple:
         for wt, y in forms:
             if wt <= ws:
                 below.insert(_divided_power(y, ws - wt))
-        if below.reduce({_permuted(mon, tau): c for mon, c in x.items()}):
+        if below.reduce({_moved(tau, mon)[0]: c for mon, c in x.items()}):
             return None
     return tau
 

@@ -121,7 +121,10 @@ def _table(sigma: Permutation, v: FockState) -> tuple:
 
 def _moved(table: tuple, mon) -> tuple:
     """(image of the monomial in canonical order, its exponent k mod 3):
-    the table maps mon to z^k times the image."""
+    the table maps mon to z^k times the image.  The one place that relabels
+    the fields of a monomial: ``act``, ``is_invariant``, the orbit labels
+    and charge mirror of ``structure`` and the Burnside counts of
+    ``qseries`` all read it."""
     k = 0
     modes = []
     for lv, f in mon:

@@ -66,8 +66,8 @@ smaller than one 4-tuple key per product.
 Every product memo value and raise-table entry is one flat tuple
 (mon_1, c_1, mon_2, c_2, ...): the monomials in the order they are first
 met, each followed by its nonzero int coefficient; a zero product is the
-empty tuple.  Readers take the pairs with ``it = iter(x); zip(it, it)``,
-or through ``_pairs``, which returns a one-pair tuple as its own pair.
+empty tuple.  Every reader takes the pairs with
+``it = iter(x); zip(it, it)``.
 Both tables hold one object per distinct monomial and per distinct mode:
 each monomial of a memo value or a table entry is interned as it is stored
 (``_shared``), in a dict that ``clear_product_cache`` empties too.  Tuples
@@ -191,7 +191,8 @@ def _monomial_product(basis: str, u: Monomial, n: int, v: Monomial) -> tuple:
                     continue
                 # rest and every raised part are canonical already
                 rest = tuple(rest)
-                for raised, c in _pairs(_raises(tuple(free), excess)):
+                it = iter(_raises(tuple(free), excess))
+                for raised, c in zip(it, it):
                     mon = (canonical(rest + raised) if rest and raised
                            else rest or raised)
                     result[mon] = result.get(mon, 0) + coeff * c
@@ -212,16 +213,6 @@ def _flat(terms: dict) -> tuple:
         if c:
             flat += _shared(mon), c
     return tuple(flat)
-
-
-def _pairs(flat: tuple):
-    """The (monomial, int) pairs of a flat memo value or raise entry: a
-    one-pair entry, most raise entries, is its own pair; longer ones are
-    read through ``zip(it, it)``."""
-    if len(flat) == 2:
-        return (flat,)
-    it = iter(flat)
-    return zip(it, it)
 
 
 def _raises(modes: Monomial, excess: int) -> tuple:
@@ -343,7 +334,8 @@ def _divided_power(x: dict, k: int) -> dict:
     out: dict = {}
     for mon, c in x.items():
         if mon or not k:
-            _add_into(out, _pairs(_raises(mon, k)), c)
+            it = iter(_raises(mon, k))
+            _add_into(out, zip(it, it), c)
     return out
 
 
@@ -388,7 +380,8 @@ def check_skew_symmetry(u: FockState, v: FockState, n: int) -> FockState:
     """Residual of u_n v = sum_j (-1)^(n+j+1) T^j(v_{n+j} u) / j!.
 
     Returns the difference; a correct product makes it the zero state.  The
-    sum stops at j = wt(u) + wt(v) + 1, past which v_{n+j} u vanishes.
+    sum runs over j < wt(u) + wt(v) - n, as v_{n+j} u vanishes once
+    n + j >= wt(u) + wt(v) (see the module docstring).
 
     The residual is bilinear in (u, v), so it is built once from the scaled
     forms du * u and dv * v (see ``_scaled``) in {monomial: int} dicts, and
@@ -399,7 +392,7 @@ def check_skew_symmetry(u: FockState, v: FockState, n: int) -> FockState:
     du, *xu = _scaled(u)
     dv, *xv = _scaled(v)
     re, im = _product(basis, xu, n, xv)
-    for j in range(u.max_weight() + v.max_weight() + 2):
+    for j in range(max(0, u.max_weight() + v.max_weight() - n)):
         tr, ti = _product(basis, xv, n + j, xu)
         sign = -1 if (n + j) % 2 else 1
         _add_into(re, _divided_power(tr, j).items(), sign)

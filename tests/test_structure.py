@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h3orbifold import structure, vertex
-from h3orbifold.fock import BETA, FockState, change_basis, enumerate_basis
+from h3orbifold.fock import (BETA, FockState, canonical, change_basis,
+                             enumerate_basis)
 from h3orbifold.linalg import Echelon, det_bareiss
 from h3orbifold.scalars import ZETA
 from h3orbifold.structure import (DET_A_PATTERNS, MAX_SPAN_WEIGHT,
@@ -801,12 +802,17 @@ def test_diagonal_s3_single_drop_dims_are_pinned(dropped):
     assert not rep.all_matched
 
 
+def _modes(basis):
+    """The states x_f(-1), f = 1, 2, 3, of the basis."""
+    return [FockState.monomial(3, [(1, f)], basis=basis) for f in (1, 2, 3)]
+
+
 def _coefficient_one_elements(group, basis):
     """The oracle of the orbit maps: the group elements that map every mode
     x_f(-1) of the basis to one mode with coefficient 1, through ``act``."""
-    modes = [FockState.monomial(3, [(1, f)], basis=basis) for f in (1, 2, 3)]
     return [sigma for sigma in GROUPS[group]
-            if all(list(act(sigma, x).terms.values()) == [1] for x in modes)]
+            if all(list(act(sigma, x).terms.values()) == [1]
+                   for x in _modes(basis))]
 
 
 @pytest.mark.parametrize("group, basis, size",
@@ -822,11 +828,17 @@ def test_orbit_labels_keep_exactly_the_least_monomial_of_each_orbit(
     orbit = structure._orbit_maps(group, basis)
     assert len(orbit) == size - 1
     labels = structure._Labels(8, orbit)
+    # each element's field map h, read from act's images x_h(-1) of the
+    # modes x_f(-1); a monomial's image is relabelled and re-sorted here,
+    # apart from the relabelling the labels use
+    field_maps = []
+    for sigma in elements:
+        images = [act(sigma, x).terms for x in _modes(basis)]
+        field_maps.append([h for (((_, h),),) in images])
     for w in range(9):
         for mon in enumerate_basis(3, w):
-            images = set()
-            for sigma in elements:
-                images |= act(sigma, FockState(3, basis, {mon: F(1)})).terms.keys()
+            images = {canonical([(level, fields[f - 1]) for level, f in mon])
+                      for fields in field_maps}
             least = mon == min(images)
             assert (labels[mon] is not None) == least, mon
             if least:
@@ -870,6 +882,10 @@ def test_orbit_rows_give_the_ranks_of_full_rows(monkeypatch, ids, max_weight,
 #: translates: the paper's set, and two of its single drops
 _MIRRORED = {None, "omega1_0(0)", "omega23_0(0,3)"}
 
+#: the b-basis action table of tau: it fixes b1 and swaps b2 and b3, each
+#: with coefficient 1
+_TAU = ((1, 0), (3, 0), (2, 0))
+
 
 @pytest.mark.parametrize("dropped", [None] + [str(g) for g in Z3_GENERATOR_IDS])
 def test_charge_mirror_is_on_only_where_the_generators_are_tau_stable(
@@ -877,7 +893,7 @@ def test_charge_mirror_is_on_only_where_the_generators_are_tau_stable(
     gens = [g for g in Z3_GENERATOR_IDS if str(g) != dropped]
     ((states, *_, orbit, mirror), _), = _close_calls(monkeypatch, gens, 4, "Z3")
     assert orbit == ()
-    assert mirror == ((1, 3, 2) if dropped in _MIRRORED else None)
+    assert mirror == (_TAU if dropped in _MIRRORED else None)
 
 
 @pytest.mark.parametrize("dropped, forced, exact", [
@@ -890,7 +906,7 @@ def test_the_mirror_without_its_stability_test_miscounts(monkeypatch, dropped,
     ((states, charges, room, top, basis, orbit, mirror), _), = _close_calls(
         monkeypatch, gens, 10, "Z3")
     assert mirror is None
-    wrong = structure._close(states, charges, room, top, basis, orbit, (1, 3, 2))
+    wrong = structure._close(states, charges, room, top, basis, orbit, _TAU)
     assert structure._with_free_boson(wrong)[10] == forced
     assert span_dims(gens, 10, "Z3").dims_spanned[10] == exact
 

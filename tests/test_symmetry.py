@@ -139,6 +139,17 @@ def test_generators_invariant_under_their_groups():
         assert not is_invariant("S3", gen(fam, *idx)) or fam == "omega23_0"
 
 
+def test_invariance_of_states_with_different_fields_at_one_level():
+    # a permutation reorders the modes of a level block, so the image must
+    # be re-sorted before its coefficient is read: (omega1(0))_{-1} omega1(0)
+    # holds 2 a1(-1)a2(-1), and omega2_0(0,0) is 2 b2(-1)b3(-1)
+    square = nth_product(gen("omega1", 0), -1, gen("omega1", 0))
+    assert square.terms[((1, 1), (1, 2))] == 2
+    assert is_invariant("S3", square)
+    assert is_invariant("S3", gen("omega2_0", 0, 0))
+    assert not is_invariant("S3", FockState.monomial(3, [(1, 1), (1, 2)]))
+
+
 def test_generator_translation_bridge():
     # rewriting the standard-basis generators in the diagonal basis
     for a in range(4):

@@ -137,6 +137,61 @@ def test_skew_symmetry_vacuum():
         assert check_skew_symmetry(vac, v, n).is_zero()
 
 
+def test_skew_symmetry_holds_at_every_mode_from_minus_eight():
+    # the lower n, the more terms v_{n+j} u are nonzero: the sum must run to
+    # n + j = wt(u) + wt(v) - 1 whatever n is; Fraction and Q(z) states
+    rng = random.Random(8)
+    qz = 0
+    for trial in range(16):
+        basis = (ALPHA, BETA)[trial % 2]
+        if trial < 8:
+            u, v = rand_state(rng, basis, 2), rand_state(rng, basis, 2)
+        else:
+            u, v = _residual_states(rng, basis), _residual_states(rng, basis)
+            qz += any(type(c) is Scalar and c.b for s in (u, v)
+                      for c in s.terms.values())
+        for n in range(-8, 4):
+            assert check_skew_symmetry(u, v, n).is_zero(), (u, v, n)
+    assert qz
+    a1 = mono([(1, 1)])
+    for n in range(-8, 4):
+        assert check_skew_symmetry(a1, a1, n).is_zero(), n
+
+
+def _homogeneous_state(rng, basis, weight):
+    """One or two monomials of the weight with random coefficients."""
+    monomials = enumerate_basis(3, weight)
+    out = FockState(3, basis)
+    for mon in rng.sample(monomials, min(2, len(monomials))):
+        out._add_term(mon, F(rng.choice([1, -2, 3]), rng.choice([1, 2])))
+    return out
+
+
+@pytest.mark.parametrize("basis", [ALPHA, BETA])
+def test_skew_symmetry_forms_products_up_to_the_top_mode_only(monkeypatch,
+                                                              basis):
+    # for homogeneous u and v, v_{n+j} u is 0 by weight once
+    # n + j >= wt(u) + wt(v), so no such product is formed; the one at
+    # wt(u) + wt(v) - 1, a multiple of the vacuum, is
+    modes = []
+    kernel = vertex._monomial_product
+
+    def recorded(basis, u, n, v):
+        modes.append(n)
+        return kernel(basis, u, n, v)
+
+    monkeypatch.setattr(vertex, "_monomial_product", recorded)
+    rng = random.Random(10)
+    for _ in range(12):
+        wu, wv = rng.randint(0, 3), rng.randint(0, 3)
+        u = _homogeneous_state(rng, basis, wu)
+        v = _homogeneous_state(rng, basis, wv)
+        for n in range(-8, wu + wv):
+            modes.clear()
+            check_skew_symmetry(u, v, n)
+            assert max(modes) == wu + wv - 1, (u, v, n)
+
+
 def test_borcherds_random():
     rng = random.Random(8)
     for _ in range(30):
@@ -551,10 +606,11 @@ def _iterated_translate(v, k):
 
 
 def _reference_skew(u, v, n):
-    """Oracle for ``check_skew_symmetry``: whole states summed per term."""
-    jmax = u.max_weight() + v.max_weight() + 1
+    """Oracle for ``check_skew_symmetry``: whole states summed per term, up
+    to the last j with n + j < wt(u) + wt(v), past which v_{n+j} u is 0."""
+    top = u.max_weight() + v.max_weight()
     total = FockState(u.rank, u.basis)
-    for j in range(0, jmax + 1):
+    for j in range(max(0, top - n)):
         term = _fraction_product(v, n + j, u)
         if term.is_zero():
             continue
