@@ -349,6 +349,11 @@ def cmd_modular(args):
 
 def cmd_product(args):
     u, v = parse_state(args.u), parse_state(args.v)
+    # text without modes names no basis, so it takes the other operand's
+    if not any(u.terms):
+        u = parse_state(args.u, v.basis)
+    elif not any(v.terms):
+        v = parse_state(args.v, u.basis)
     u._check_compatible(v)
     top = u.max_weight() + v.max_weight() - args.n - 1
     if top > MAX_PRODUCT_WEIGHT and not (u.is_zero() or v.is_zero()):

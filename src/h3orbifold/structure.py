@@ -16,46 +16,46 @@ from .linalg import Echelon, SolverBasis, _integral, _primitive, det_bareiss
 from .qseries import ORBIFOLD_GROUPS, _euler_product, orbifold_character
 from .symmetry import (GROUPS, GeneratorId, _action_table, _moved,
                        build_generator, gen, is_invariant)
-from .vertex import (_accumulate, _add_into, _divided_power, _product,
-                     _scaled, _shared, _unscaled)
+from .vertex import (_accumulate, _add_into, _divided_power, _shared,
+                     _unscaled)
 
 #: largest weight span_dims (and ``h3orb span``) accepts
 MAX_SPAN_WEIGHT = 12
-#: even arguments sampled by det_A_even_polynomial: one more than its degree
-#: needs, so the last sample checks the interpolation
-_DET_A_SAMPLES = 14
 
 
-def _nested_product(basis: str, forms) -> tuple:
-    """(den, re, im) of the right-nested (-1)-products of states of one
-    basis, given by their scaled forms (``vertex._scaled``): the product is
-    multilinear, so den is the product of their denominators.  The forms
-    are only read, and a single form comes back with its own dicts."""
-    den, *x = forms[-1]
-    for d, *y in reversed(forms[:-1]):
-        den *= d
-        x = _product(basis, y, -1, x)
-    return (den, *x)
+def _nested_product(forms) -> dict:
+    """x_1 (-1) (x_2 (-1) ... x_k) for ``b``-basis {monomial: int} dicts,
+    a fold of ``vertex._accumulate``; it only reads the forms, and a single
+    form comes back as itself."""
+    out = forms[-1]
+    for x in reversed(forms[:-1]):
+        prod: dict = {}
+        _accumulate(prod, BETA, x, -1, out, 1)
+        out = prod
+    return out
 
 
 _D_FAMILY = {"D6_1": "D6C1", "D6_2": "D6C2", "D5": "D5C"}
 
 
 @lru_cache(maxsize=None)
-def _diagonal_generator(k: int, indices: tuple) -> tuple:
-    """The scaled form (den, re, im) of the diagonal generator
-    omega{k}_0(indices), built once per (k, indices).  Every caller shares
-    the dicts, so none may change them; ``gen`` still builds a fresh state."""
-    return _scaled(gen(f"omega{k}_0", *indices))
+def _diagonal_generator(k: int, indices: tuple) -> dict:
+    """omega{k}_0(indices) as a {monomial: int} dict of the state's own
+    integer coefficients (omega2_0(a, a) has 2), built once per (k, indices).
+    Every caller shares the dict, so none may change it; ``gen`` still
+    builds a fresh state."""
+    state = gen(f"omega{k}_0", *indices)
+    return {mon: int(c) for mon, c in state.terms.items()}
 
 
 def build_D(rel: str, multi_index) -> FockState:
     """The decoupling expressions built from (-1)-products of the diagonal
     generators; same term structure as the classical relations.
 
-    The factors are read from ``_diagonal_generator`` and only read: the
-    nested products and the sum over the terms form new dicts, and the
-    state returned holds no dict of the table."""
+    Each term's nested product is an integer dict (``_nested_product`` of
+    the ``_diagonal_generator`` dicts, which it only reads).  The terms are
+    summed over the lcm of their coefficients' denominators, divided once
+    per monomial, into a new state that holds no dict of the table."""
     classical_name = _D_FAMILY.get(rel)
     if classical_name is None:
         raise ValueError(f"unknown expression family {rel!r}")
@@ -65,21 +65,14 @@ def build_D(rel: str, multi_index) -> FockState:
         raise ValueError(f"{rel} takes {arity} indices, got {len(idx)}")
     if any(i < 0 for i in idx):
         raise ValueError("indices must be >= 0")
-    terms = []
-    for coeff, factors in RELATION_TERMS[classical_name]:
+    terms = RELATION_TERMS[classical_name]
+    den = lcm(*(Fraction(c).denominator for c, _ in terms))
+    out: dict = {}
+    for coeff, factors in terms:
         forms = [_diagonal_generator(k, tuple(idx[p] for p in pos))
                  for k, pos in factors]
-        den, re, im = _nested_product(BETA, forms)
-        terms.append((Fraction(coeff, den), re, im))
-    # sum the terms over their common denominator, dividing once per monomial
-    den = lcm(*(c.denominator for c, _, _ in terms))
-    re: dict = {}
-    im: dict = {}
-    for c, tr, ti in terms:
-        k = c.numerator * (den // c.denominator)
-        _add_into(re, tr.items(), k)
-        _add_into(im, ti.items(), k)
-    return _unscaled(3, BETA, den, re, im)
+        _add_into(out, _nested_product(forms).items(), int(coeff * den))
+    return _unscaled(3, BETA, den, out, {})
 
 
 # -- decomposition reports ----------------------------------------------------
@@ -106,14 +99,13 @@ def check_decomposition(rel: str, multi_index) -> DecompositionReport:
     For the sextic expressions the state must decompose over quadratic
     generators and (-1)-products of two of them (no cubic-in-quadratic or
     quadratic-in-cubic terms).  For the quintic expression the state must be
-    a plain linear combination of cubic generators.
+    a plain linear combination of cubic generators.  The sextic solve runs
+    over the ``_diagonal_generator`` dicts, the integer states themselves,
+    and their (-1)-products (``_nested_product``), inserted as they are.
     """
     state = build_D(rel, multi_index)
     idx = tuple(multi_index)
     total = sum(idx)
-    # the omega2_0 and omega3_0 generators have every coefficient 1, so
-    # their scaled forms (den, re, im) have den 1: re is the state itself,
-    # and the re of a product of two such forms is the product itself
 
     if rel == "D5":
         # six-mode terms must already cancel; the rest reads off directly
@@ -135,10 +127,10 @@ def check_decomposition(rel: str, multi_index) -> DecompositionReport:
                if sum(p) + sum(q) == total + 2]
     sb = SolverBasis()
     for p in quadratic:
-        sb.insert(_diagonal_generator(2, p)[1])
+        sb.insert(_diagonal_generator(2, p))
     for p, q in quartic:
-        x, y = (_diagonal_generator(2, r)[1:] for r in (p, q))
-        sb.insert(_product(BETA, x, -1, y)[0])
+        sb.insert(_nested_product([_diagonal_generator(2, p),
+                                   _diagonal_generator(2, q)]))
     coords = sb.solve(state.terms)
     if coords is None:
         return DecompositionReport(rel, idx, False, {}, {}, {},
@@ -228,24 +220,6 @@ def det_A(a: int) -> Fraction:
     if a < 6:
         raise ValueError("argument must be >= 6")
     return det_bareiss(det_A_matrix(a))
-
-
-def det_A_even_polynomial() -> list:
-    """Coefficients (ascending) of the determinant as a polynomial over even
-    arguments, interpolated from collision-free samples and stability-checked."""
-    samples = [(a, det_A(a)) for a in range(10, 10 + 2 * _DET_A_SAMPLES, 2)]
-    fit, (a, v) = samples[:-1], samples[-1]
-    # Vandermonde solve: column j holds x^j at every fitted sample
-    sb = SolverBasis()
-    for j in range(len(fit)):
-        sb.insert({i: Fraction(x) ** j for i, (x, _) in enumerate(fit)})
-    coords = sb.solve({i: y for i, (_, y) in enumerate(fit) if y})
-    poly = [coords.get(j, Fraction(0)) for j in range(len(fit))]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    if sum(c * a ** j for j, c in enumerate(poly)) != v:
-        raise AssertionError("determinant interpolation did not stabilize")
-    return poly
 
 
 # -- strong span --------------------------------------------------------------

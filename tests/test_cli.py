@@ -175,6 +175,17 @@ def test_product_refuses_a_result_weight_above_its_cap(capsys):
         2, "", ["h3orb product: error: basis mismatch: a vs b"])
 
 
+@pytest.mark.parametrize("scalar, result", [("1", "b1(-1)"), ("0", "0")])
+def test_mode_free_operand_takes_the_other_operands_basis(capsys, scalar,
+                                                          result):
+    # the vacuum and zero name no basis (text with modes in two bases is
+    # still a mismatch: test_product_refuses_a_result_weight_above_its_cap)
+    for u, v in ((scalar, "b1(-1)"), ("b1(-1)", scalar)):
+        code, out = run_cli(capsys, "product", "--u", u, "--n", "-1",
+                            "--v", v)
+        assert (code, out.strip()) == (0, result), (u, v)
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["dims"], 0),
     (["manifest", "--format", "json"], 0),

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h3orbifold import structure, vertex
+from h3orbifold.classical import RELATION_TERMS
 from h3orbifold.fock import (BETA, FockState, canonical, change_basis,
                              enumerate_basis)
-from h3orbifold.linalg import Echelon, det_bareiss
+from h3orbifold.linalg import Echelon, SolverBasis, det_bareiss
 from h3orbifold.scalars import ZETA
 from h3orbifold.structure import (DET_A_PATTERNS, MAX_SPAN_WEIGHT,
                                   S3_DIAGONAL_GENERATOR_IDS, S3_GENERATOR_IDS,
                                   Z3_GENERATOR_IDS, build_D,
                                   check_decomposition,
                                   cubic_family_coefficients, det_A,
-                                  det_A_closed_form, det_A_even_polynomial,
-                                  det_A_matrix, span_dims)
+                                  det_A_closed_form, det_A_matrix,
+                                  span_dims)
 from h3orbifold.symmetry import (GROUPS, GeneratorId, act, build_generator,
                                  gen, is_invariant)
 from h3orbifold.relations import D3, Tk
@@ -34,17 +35,54 @@ def test_build_D_weights():
         build_D("D9", (0,) * 6)
 
 
-def test_nested_product_divides_by_every_denominator():
-    from h3orbifold.structure import _nested_product
-    from h3orbifold.vertex import _scaled, _unscaled
-    states = [gen("omega1_0", 1).scale(F(2, 3)),
-              gen("omega2_0", 0, 1).scale(ZETA + F(1, 5)),
-              gen("omega3_0", 0, 0, 1).scale(F(-3, 7))]
-    want = nth_product(states[0], -1, nth_product(states[1], -1, states[2]))
-    forms = [_scaled(s) for s in states]
-    got = _unscaled(3, BETA, *_nested_product(BETA, forms))
+def _omega(k, indices):
+    return gen(f"omega{k}_0", *indices)
+
+
+#: repeated indices give generators with a coefficient 2, as omega2_0(0, 0)
+D_CASES = [("D5", (0, 0, 1, 1, 2)), ("D5", (0, 0, 0, 1, 1)),
+           ("D6_1", (0, 0, 0, 1, 1, 2)), ("D6_2", (0, 0, 0, 1, 1, 1)),
+           ("D6_1", (0, 0, 1, 1, 2, 2)), ("D6_2", (0, 0, 1, 1, 2, 2))]
+
+
+@pytest.mark.parametrize("rel, idx", D_CASES)
+def test_build_D_is_the_sum_of_its_nested_state_products(rel, idx):
+    """build_D against the public nth_product of the generator states: each
+    term is its coefficient times the right-nested (-1)-product."""
+    family = {"D5": "D5C", "D6_1": "D6C1", "D6_2": "D6C2"}[rel]
+    want = FockState(3, BETA)
+    for coeff, factors in RELATION_TERMS[family]:
+        states = [_omega(k, [idx[p] for p in pos]) for k, pos in factors]
+        term = states[-1]
+        for s in reversed(states[:-1]):
+            term = nth_product(s, -1, term)
+        want = want + term.scale(F(coeff))
+    got = build_D(rel, idx)
     assert got == want and not got.is_zero()
 
+
+@pytest.mark.parametrize("rel, idx", [c for c in D_CASES if c[0] != "D5"])
+def test_decomposition_spans_the_quadratic_states_and_their_products(
+        rel, idx, monkeypatch):
+    """The vectors check_decomposition solves over are the omega2_0 states
+    of weight total + 6 and the products nth_product(w2(p), -1, w2(q)),
+    p <= q, of that weight, in that order."""
+    inserted = []
+
+    class Recorder(SolverBasis):
+        def insert(self, vec):
+            inserted.append(dict(vec))
+            return super().insert(vec)
+
+    monkeypatch.setattr(structure, "SolverBasis", Recorder)
+    assert check_decomposition(rel, idx).ok
+    total = sum(idx)
+    want = [_omega(2, (a, total + 4 - a)) for a in range(total // 2 + 3)]
+    pairs = [(a, b) for a in range(total + 3) for b in range(a, total + 3)]
+    want += [nth_product(_omega(2, p), -1, _omega(2, q))
+             for i, p in enumerate(pairs) for q in pairs[i:]
+             if sum(p) + sum(q) == total + 2]
+    assert inserted == [s.terms for s in want]
 
 
 def test_gen_returns_a_fresh_state():
@@ -178,7 +216,8 @@ def test_warm_decomposition_builds_no_generator_and_no_state_product(rel, idx):
 
 def _det_A_factored(a: int) -> F:
     """(128/3)(a-6)(a-4)^2(a-3)(a-2)(a-1)(a+2) Q(a), the factorisation of
-    det_A over even a found from the interpolated polynomial."""
+    det_A over even a, found from a polynomial interpolated through its
+    values."""
     q = -106 * a ** 4 + 798 * a ** 3 - 1712 * a ** 2 + 75 * a + 2520
     return (F(128, 3) * (a - 6) * (a - 4) ** 2 * (a - 3) * (a - 2) * (a - 1)
             * (a + 2) * q)
@@ -263,24 +302,30 @@ def test_det_A_quartic_has_no_root_from_4_up_by_sturm():
     assert all(_det_A_factored(a) != 0 for a in range(10, 201, 2))
 
 def test_det_A_even_branch_has_the_quoted_singular_factors():
-    """The determinant, as a polynomial over even arguments, is divisible by
-    exactly the singular factors of the quoted closed form."""
-    poly = det_A_even_polynomial()  # checks itself against one extra sample
-    assert len(poly) - 1 == 11  # same degree as the closed form
+    """The pinned factorisation of det_A over even arguments, which
+    ``test_det_A_equals_its_factorisation`` ties to det_A, has the degree 11
+    of the closed form and exactly its singular factors
+    (a-4)^2 (a-3) (a-1) (a+2), with a degree-6 cofactor."""
+    # (128/3) prod (a - r) Q(a), highest degree first
+    poly = [F(128, 3) * c for c in DET_A_QUARTIC]
+    for r in DET_A_LINEAR_ROOTS:
+        poly = [x - r * y for x, y in zip(poly + [0], [0] + poly)]
+    assert len(poly) - 1 == 11
 
     def divide_out(coeffs, root):
         out = []
         carry = F(0)
-        for c in reversed(coeffs):
+        for c in coeffs:
             carry = c + carry * root
             out.append(carry)
         assert out[-1] == 0, f"not divisible by (a - {root})"
-        return list(reversed(out[:-1]))
+        return out[:-1]
 
     res = poly
     for root in (4, 4, 3, 1, -2):
         res = divide_out(res, root)
-    assert len(res) - 1 == 6  # a degree-6 factor remains, as in the closed form
+    assert len(res) - 1 == 6
+    assert all(_horner(res, root) != 0 for root in (4, 3, 1, -2))
 
 
 def test_span_matches_burnside_targets():
